@@ -1,16 +1,16 @@
 package detlb_test
 
-// Benchmark harness: one benchmark per experiment in DESIGN.md's
-// per-experiment index (E1–E10 plus the matching-model extension), each
-// regenerating the corresponding table at full size, plus micro-benchmarks
+// Benchmark harness: one benchmark per experiment of the lbreport suite
+// (E1–E10 plus the matching-model extension), each regenerating the
+// corresponding table at full size, plus micro-benchmarks
 // for the hot paths (engine step, serial vs parallel, actor round, spectral
 // gap, graph sampling). Run:
 //
 //	go test -bench=. -benchmem
 //
 // The experiment benchmarks exist to time the reproduction pipeline and to
-// make every table reproducible from a single command; their tables are the
-// content of EXPERIMENTS.md.
+// make every table reproducible from a single command; their tables are what
+// lbreport -only ID prints.
 
 import (
 	"testing"

@@ -7,22 +7,13 @@ import (
 	"testing"
 
 	"detlb/internal/analysis"
-	"detlb/internal/core"
 	"detlb/internal/graph"
-	"detlb/internal/specparse"
+	"detlb/internal/scenario"
 )
 
 // The spec mini-language lives in internal/scenario (shared with lbsweep and
-// the JSON scenario files); these wrappers keep the historical names of
-// lbsim's parsers, which the CLI now reaches through buildScenario.
-
-func parseGraph(spec string) (*graph.Graph, error) { return specparse.Graph(spec) }
-
-func parseAlgo(spec string, b *graph.Balancing) (core.Balancer, error) {
-	return specparse.Algo(spec, b)
-}
-
-func parseWorkload(spec string, n int) ([]int64, error) { return specparse.Workload(spec, n) }
+// the JSON scenario files); lbsim reaches it through buildScenario, and these
+// tests drive the parsers and binders directly.
 
 func TestParseGraphVariants(t *testing.T) {
 	cases := []struct {
@@ -40,7 +31,11 @@ func TestParseGraphVariants(t *testing.T) {
 		{"random:32,4,2", 32, 4},
 	}
 	for _, c := range cases {
-		g, err := parseGraph(c.spec)
+		s, err := scenario.ParseGraph(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		g, err := s.BindGraph()
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
@@ -51,10 +46,10 @@ func TestParseGraphVariants(t *testing.T) {
 }
 
 func TestParseGraphRejectsUnknown(t *testing.T) {
-	if _, err := parseGraph("dodecahedron:12"); err == nil {
+	if _, err := scenario.ParseGraph("dodecahedron:12"); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := parseGraph("circulant:16,1+x"); err == nil {
+	if _, err := scenario.ParseGraph("circulant:16,1+x"); err == nil {
 		t.Fatal("expected offset parse error")
 	}
 }
@@ -66,22 +61,25 @@ func TestParseAlgoVariants(t *testing.T) {
 		"good:2", "biased", "rand-extra:7", "rand-round", "mimic", "bounded-error",
 		"matching", "matching-rand",
 	} {
-		algo, err := parseAlgo(spec, b)
+		s, err := scenario.ParseAlgo(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		if algo.Name() == "" {
-			t.Fatalf("%s: empty name", spec)
+		bound, err := s.Bind(b)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if bound.Algorithm == nil || bound.Algorithm.Name() == "" {
+			t.Fatalf("%s: no named algorithm bound: %+v", spec, bound)
 		}
 	}
 }
 
 func TestParseAlgoRejects(t *testing.T) {
-	b := graph.Lazy(graph.Cycle(8))
-	if _, err := parseAlgo("quantum", b); err == nil {
+	if _, err := scenario.ParseAlgo("quantum"); err == nil {
 		t.Fatal("expected unknown algorithm error")
 	}
-	if _, err := parseAlgo("good:x", b); err == nil {
+	if _, err := scenario.ParseAlgo("good:x"); err == nil {
 		t.Fatal("expected good:S parse error")
 	}
 }
@@ -184,7 +182,11 @@ func TestParseWorkloadVariants(t *testing.T) {
 		{"ramp:0,1", 28},
 	}
 	for _, c := range cases {
-		x, err := parseWorkload(c.spec, 8)
+		s, err := scenario.ParseWorkload(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		x, err := s.Bind(8)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
@@ -196,10 +198,14 @@ func TestParseWorkloadVariants(t *testing.T) {
 			t.Errorf("%s: total %d, want %d", c.spec, sum, c.total)
 		}
 	}
-	if _, err := parseWorkload("tsunami:1", 8); err == nil {
+	if _, err := scenario.ParseWorkload("tsunami:1"); err == nil {
 		t.Fatal("expected unknown workload error")
 	}
-	if x, err := parseWorkload("random:10,3", 8); err != nil || len(x) != 8 {
+	s, err := scenario.ParseWorkload("random:10,3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, err := s.Bind(8); err != nil || len(x) != 8 {
 		t.Fatalf("random workload: %v %v", x, err)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"detlb/internal/workload"
 )
 
-// Ablations for the design choices DESIGN.md calls out: how many self-loops
-// are actually needed (the paper's open question 1), and whether the
-// rotor-router's slot order matters.
+// Ablations for two design choices (lbreport IDs ABL1, ABL2): how many
+// self-loops are actually needed (the paper's open question 1), and whether
+// the rotor-router's slot order matters.
 
 // AblationSelfLoops (ABL1) sweeps d° on a fixed graph and workload: the
 // paper requires d° ≥ d for claims (i)-(ii) and proves d° = 0 can be

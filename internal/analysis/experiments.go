@@ -12,7 +12,7 @@ import (
 // Config tunes the experiment suite.
 type Config struct {
 	// Quick shrinks instance sizes for test runs; full sizes are used by
-	// cmd/lbbench and the benchmarks.
+	// cmd/lbreport and the benchmarks.
 	Quick bool
 	// Workers selects engine parallelism.
 	Workers int

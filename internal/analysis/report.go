@@ -7,8 +7,8 @@ import (
 )
 
 // RenderMarkdown writes a table as GitHub-flavoured Markdown: a heading,
-// the pipe table, and the note as a blockquote. lbreport uses it to emit a
-// machine-regenerated companion to EXPERIMENTS.md.
+// the pipe table, and the note as a blockquote. lbreport uses it to emit
+// the experiment report.
 func (t *Table) RenderMarkdown(w io.Writer) error {
 	var sb strings.Builder
 	if t.Title != "" {

@@ -1,8 +1,8 @@
 // Package analysis is the experiment harness: it runs (graph, algorithm,
 // workload) triples to the paper's time horizon T = O(log(Kn)/µ) with
 // early-stop detection, collects discrepancy metrics and audit results, and
-// regenerates Table 1 and the per-theorem experiments E1–E10 of DESIGN.md as
-// text tables.
+// regenerates Table 1 and the per-theorem experiments as text tables (see
+// AllExperiments for the IDs lbreport -only accepts).
 package analysis
 
 import (
@@ -22,19 +22,19 @@ type RunSpec struct {
 	Balancing *graph.Balancing
 	// Algorithm is the balancer under test.
 	Algorithm core.Balancer
-	// Model, when non-nil, selects the model-agnostic path: the run executes
-	// a model built by Model.New(Initial, Workers) — a population-protocol
-	// machine, say — instead of a diffusion engine, and Metric maps its state
-	// to the scalar the harness tracks. Algorithm must be nil; Balancing is
-	// still required (it sizes the run and labels results). Model runs are
-	// static: Events, Topology, and Auditors (engine-typed) are rejected
-	// through RunResult.Err.
+	// Model, when non-nil, replaces Algorithm: the run steps a model built by
+	// Model.New(Initial, Workers) — a population-protocol machine, say —
+	// through the same round loop as a diffusion engine, and its horizon
+	// defaults to Model.DefaultHorizon instead of the spectral T. Algorithm
+	// must be nil; Balancing is still required (it sizes the run and labels
+	// results). Model runs are static: Events, Topology, and Auditors
+	// (engine-typed) are rejected through RunResult.Err.
 	Model core.ModelBuilder
-	// Metric maps model state to the scalar convergence measure (required
-	// with Model; ignored on diffusion runs, which always measure the load
-	// discrepancy). TargetDiscrepancy, Patience, and the Series/Snapshot
-	// discrepancy fields all read this metric's value on model runs, so
-	// time-to-target generalizes to time-to-consensus.
+	// Metric maps model state to the value the round loop tracks in place of
+	// the load discrepancy (required with Model; ignored on diffusion runs).
+	// TargetDiscrepancy, Patience, and the Series/Snapshot discrepancy fields
+	// all read this metric's value on model runs, so time-to-target
+	// generalizes to time-to-consensus.
 	Metric core.Metric
 	// Initial is x₁ (not mutated).
 	Initial []int64
@@ -246,39 +246,47 @@ func Run(spec RunSpec) (res RunResult) {
 	return res
 }
 
-// prepareResult computes the engine-independent result fields (gap, K, the
-// paper's T, the horizon in force). ok is false when the spec is too broken
-// to build an engine from; res.Err carries the reason.
+// prepareResult computes the simulator-independent result fields (K, the
+// horizon in force, and for diffusion the gap and the paper's T; for models
+// the metric name). ok is false when the spec is too broken to build a
+// simulator from; res.Err carries the reason.
 func prepareResult(spec RunSpec) (res RunResult, ok bool) {
 	res = RunResult{TargetRound: -1}
-	if spec.Balancing == nil || spec.Algorithm == nil {
-		res.Err = fmt.Errorf("analysis: spec needs a balancing graph and an algorithm")
+	if res.Err = checkSpec(spec); res.Err != nil {
 		return res, false
 	}
-	mu := spectral.Gap(spec.Balancing)
-	k := core.Discrepancy(spec.Initial)
-	res.Gap = mu
-	res.InitialDiscrepancy = k
-	if mu > muZeroTol {
-		res.BalancingTime = spectral.BalancingTime(spec.Balancing.N(), int(k), mu)
-	}
 	horizon := spec.MaxRounds
-	if horizon == 0 {
-		if mu <= muZeroTol {
-			// λ₂ = 1 up to the power iteration's numerical floor: the
-			// balancing graph is disconnected and the paper's horizon
-			// T = O(log(Kn)/µ) is undefined (the raw float would inflate T to
-			// ~10¹⁴ rounds). The former code ran a silent 1-round horizon and
-			// reported a near-untouched vector as a completed run.
-			res.Err = fmt.Errorf("analysis: balancing graph %q has spectral gap µ ≈ 0 (disconnected); T is undefined, set MaxRounds explicitly",
-				spec.Balancing.Name())
-			return res, false
+	if spec.Model != nil {
+		res.Metric = spec.Metric.Name()
+		res.InitialDiscrepancy = spec.Metric.Measure(spec.Initial)
+		if horizon == 0 {
+			horizon = spec.Model.DefaultHorizon(spec.Balancing.N())
 		}
-		horizon = res.BalancingTime
+	} else {
+		mu := spectral.Gap(spec.Balancing)
+		res.Gap = mu
+		res.InitialDiscrepancy = core.Discrepancy(spec.Initial)
+		if mu > muZeroTol {
+			res.BalancingTime = spectral.BalancingTime(spec.Balancing.N(), int(res.InitialDiscrepancy), mu)
+		}
+		if horizon == 0 {
+			if mu <= muZeroTol {
+				// λ₂ = 1 up to the power iteration's numerical floor: the
+				// balancing graph is disconnected and the paper's horizon
+				// T = O(log(Kn)/µ) is undefined (the raw float would inflate
+				// T to ~10¹⁴ rounds).
+				res.Err = fmt.Errorf("analysis: balancing graph %q has spectral gap µ ≈ 0 (disconnected); T is undefined, set MaxRounds explicitly",
+					spec.Balancing.Name())
+				return res, false
+			}
+			horizon = res.BalancingTime
+		}
+	}
+	if spec.MaxRounds == 0 {
 		if m := spec.HorizonMultiple; m > 1 {
 			horizon *= m
 		}
-		if horizon == 0 {
+		if horizon < 1 {
 			horizon = 1
 		}
 	}
@@ -286,18 +294,46 @@ func prepareResult(spec RunSpec) (res RunResult, ok bool) {
 	return res, true
 }
 
-// runEngineContext drives an engine already holding the spec's initial
-// vector through the streaming round loop (see streamEngine), draining it to
-// completion. It is the sweep runner's entry point (engines reused across
-// specs via Engine.Reset), bit-identical to Run's fresh-engine path because
-// a reset engine is equivalent to a fresh one and the round loop is a pure
-// function of (spec, initial state). The context gives it round-granularity
-// cancellation — the guarantee SweepContext and the serving layer's drain
-// are built on.
-func runEngineContext(ctx context.Context, spec RunSpec, eng *core.Engine, res RunResult) RunResult {
-	for range streamEngine(ctx, spec, eng, &res) {
+// checkSpec rejects specs no simulator can be built from. Model specs keep
+// Balancing (it sizes the run and labels results) but have no analogue of
+// the diffusion-only machinery: schedules and engine-typed auditors.
+func checkSpec(spec RunSpec) error {
+	switch {
+	case spec.Model == nil && (spec.Balancing == nil || spec.Algorithm == nil):
+		return fmt.Errorf("analysis: spec needs a balancing graph and an algorithm")
+	case spec.Model == nil:
+		return nil
+	case spec.Balancing == nil:
+		return fmt.Errorf("analysis: model spec needs a balancing graph (it sizes the run and labels results)")
+	case spec.Algorithm != nil:
+		return fmt.Errorf("analysis: spec sets both Algorithm and Model; pick one")
+	case spec.Metric == nil:
+		return fmt.Errorf("analysis: model spec needs a Metric")
+	case spec.Events != nil || spec.Topology != nil:
+		return fmt.Errorf("analysis: model runs do not support workload or topology schedules")
+	case len(spec.Auditors) > 0:
+		return fmt.Errorf("analysis: spec auditors are engine-typed; model invariants are audited inside the model")
 	}
-	return res
+	return nil
+}
+
+// newModel builds the spec's simulator holding its initial vector: the
+// builder's model, or a diffusion engine with the spec's auditors attached.
+// It is the one construction site behind StreamInto and the sweep runner.
+func newModel(spec RunSpec) (core.Model, error) {
+	if spec.Model != nil {
+		return spec.Model.New(spec.Initial, spec.Workers)
+	}
+	opts := []core.Option{core.WithWorkers(spec.Workers)}
+	for _, a := range spec.Auditors {
+		opts = append(opts, core.WithAuditor(a))
+	}
+	eng, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, opts...)
+	if err != nil {
+		// A nil *Engine must not become a non-nil Model.
+		return nil, err
+	}
+	return eng, nil
 }
 
 // RunToTarget is a convenience wrapper measuring the first round at which a

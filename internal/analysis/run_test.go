@@ -7,6 +7,7 @@ import (
 	"detlb/internal/balancer"
 	"detlb/internal/core"
 	"detlb/internal/graph"
+	"detlb/internal/protocol"
 	"detlb/internal/workload"
 )
 
@@ -71,28 +72,46 @@ func TestRunSampling(t *testing.T) {
 }
 
 // TestRunTargetAlreadyMet: an input at or below the target is a 0-round
-// time-to-target measurement, not "whenever the trajectory next dips under".
+// time-to-target measurement, not "whenever the trajectory next dips under" —
+// for a diffusion spec (K = 4 against target 8) and a majority spec whose
+// opinions already agree (0 unconverged against target 0) alike.
 func TestRunTargetAlreadyMet(t *testing.T) {
 	b := graph.Lazy(graph.Hypercube(4))
-	x1 := workload.Bimodal(16, 10, 14) // K = 4
-	res := RunToTarget(b, balancer.NewSendFloor(), x1, 8, 1000)
-	if !res.ReachedTarget || res.TargetRound != 0 {
-		t.Fatalf("initial vector meets target 8 (K=4): want TargetRound=0, got %+v", res)
+	consensus := majoritySpec(protocol.NewMajority(64, 7), 0)
+	consensus.Initial = workload.Opinions(64, 64)
+	cases := []struct {
+		name string
+		spec RunSpec
+		want int64 // the untouched initial value
+	}{
+		{"send-floor", RunSpec{
+			Balancing: b, Algorithm: balancer.NewSendFloor(), Initial: workload.Bimodal(16, 10, 14),
+			MaxRounds: 1000, TargetDiscrepancy: Target(8),
+		}, 4},
+		{"majority", consensus, 0},
 	}
-	if res.Rounds != 0 {
-		t.Fatalf("a 0-round measurement must not step: %d rounds", res.Rounds)
-	}
-	if res.FinalDiscrepancy != 4 || res.MinDiscrepancy != 4 {
-		t.Fatalf("final/min must report the untouched vector: %+v", res)
-	}
-	// With sampling on, the 0-round run still produces a one-point series so
-	// every sampled spec has a trajectory.
-	res = Run(RunSpec{
-		Balancing: b, Algorithm: balancer.NewSendFloor(), Initial: x1,
-		MaxRounds: 1000, TargetDiscrepancy: Target(8), SampleEvery: 5,
-	})
-	if len(res.Series) != 1 || res.Series[0].Round != 0 || res.Series[0].Discrepancy != 4 {
-		t.Fatalf("0-round run series: %+v", res.Series)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.SampleEvery = 0
+			res := Run(spec)
+			if !res.ReachedTarget || res.TargetRound != 0 {
+				t.Fatalf("initial vector meets the target: want TargetRound=0, got %+v", res)
+			}
+			if res.Rounds != 0 {
+				t.Fatalf("a 0-round measurement must not step: %d rounds", res.Rounds)
+			}
+			if res.FinalDiscrepancy != tc.want || res.MinDiscrepancy != tc.want {
+				t.Fatalf("final/min must report the untouched vector: %+v", res)
+			}
+			// With sampling on, the 0-round run still produces a one-point
+			// series so every sampled spec has a trajectory.
+			spec.SampleEvery = 5
+			res = Run(spec)
+			if len(res.Series) != 1 || res.Series[0].Round != 0 || res.Series[0].Discrepancy != tc.want {
+				t.Fatalf("0-round run series: %+v", res.Series)
+			}
+		})
 	}
 }
 

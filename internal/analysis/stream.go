@@ -17,7 +17,8 @@ type Round = int
 // extrema after a completed round, or immediately after a schedule injection
 // (Shock) between rounds.
 type Snapshot struct {
-	// Discrepancy is max − min load at this observation.
+	// Discrepancy is max − min load at this observation (the spec Metric's
+	// value on model runs).
 	Discrepancy int64
 	// Max and Min are the load extrema behind the discrepancy.
 	Max int64
@@ -82,42 +83,18 @@ func StreamInto(ctx context.Context, spec RunSpec, res *RunResult) iter.Seq2[Rou
 				res.Err = fmt.Errorf("analysis: run panicked: %v", r)
 			}
 		}()
-		if spec.Model != nil {
-			r, ok := prepareModelResult(spec)
-			*res = r
-			if !ok {
-				return
-			}
-			m, err := spec.Model.New(spec.Initial, spec.Workers)
-			if err != nil {
-				res.Err = err
-				return
-			}
-			defer m.Close()
-			streamModel(ctx, spec, m, res)(func(round Round, snap Snapshot) bool {
-				inYield = true
-				ok := yield(round, snap)
-				inYield = false
-				return ok
-			})
-			return
-		}
 		r, ok := prepareResult(spec)
 		*res = r
 		if !ok {
 			return
 		}
-		opts := []core.Option{core.WithWorkers(spec.Workers)}
-		for _, a := range spec.Auditors {
-			opts = append(opts, core.WithAuditor(a))
-		}
-		eng, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, opts...)
+		m, err := newModel(spec)
 		if err != nil {
 			res.Err = err
 			return
 		}
-		defer eng.Close()
-		streamEngine(ctx, spec, eng, res)(func(round Round, snap Snapshot) bool {
+		defer m.Close()
+		streamRounds(ctx, spec, m, res)(func(round Round, snap Snapshot) bool {
 			inYield = true
 			ok := yield(round, snap)
 			inYield = false
@@ -137,29 +114,48 @@ func (e *streamCanceledError) Error() string {
 
 func (e *streamCanceledError) Unwrap() error { return e.cause }
 
-// streamEngine drives an engine already holding the spec's initial vector
+// streamRounds drives a simulator already holding the spec's initial vector
 // through the round loop, yielding one snapshot per observation and folding
 // the full RunResult bookkeeping into res. It is the single round-loop
-// implementation: Run (fresh engine per call) and the sweep runner (engines
-// reused across specs via Engine.Reset) both drain it with a background
-// context, so their results are bit-identical to each other and to any
-// streaming consumer's bookkeeping.
+// implementation for diffusion engines and models alike: Run (a fresh
+// simulator per call), the sweep runner (simulators reused across specs via
+// Reset), and every streaming consumer drain it, so their results are
+// bit-identical to each other.
+//
+// Each observation takes one pass over the state (core.Extrema); the value
+// tracked is the load discrepancy max − min on diffusion runs and
+// spec.Metric's value on model runs, where Snapshot.Discrepancy and the
+// Series carry the metric and Max/Min the state extrema.
 //
 // With spec.Events set the loop becomes the dynamic-workload harness: before
-// each round the schedule's delta is injected through Engine.ApplyDelta and
+// each round the schedule's delta is injected through Model.ApplyDelta and
 // recorded as a Shock, and the discrepancy target — instead of stopping the
 // run — defines when each shock has "recovered". All injections are pure
 // functions of (round, loads), so the dynamic trajectory inherits the
 // engine's bit-identical determinism across worker counts and across the
-// Run/Sweep/Stream entry points.
-func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunResult) iter.Seq2[Round, Snapshot] {
+// Run/Sweep/Stream entry points. Topology schedules need the diffusion
+// engine itself; prepareResult rejects them (and workload schedules) on
+// model specs.
+func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResult) iter.Seq2[Round, Snapshot] {
 	return func(yield func(Round, Snapshot) bool) {
+		eng, _ := m.(*core.Engine)
+		var metric core.Metric
+		if spec.Model != nil {
+			metric = spec.Metric
+		}
+		// observe measures the current state: its tracked value and extrema.
+		observe := func() (val, lo, hi int64) {
+			lo, hi = core.Extrema(m.State())
+			if metric == nil {
+				return hi - lo, lo, hi
+			}
+			return metric.Measure(m.State()), lo, hi
+		}
 		target, targetSet := int64(0), false
 		if spec.TargetDiscrepancy != nil {
 			target, targetSet = *spec.TargetDiscrepancy, true
 		}
-		lo, hi := core.Extrema(eng.Loads())
-		disc := hi - lo
+		disc, lo, hi := observe()
 		best := disc
 		res.MinDiscrepancy = best
 		res.FinalDiscrepancy = disc
@@ -270,7 +266,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			for i := range delta {
 				delta[i] = 0
 			}
-			if !spec.Events.DeltaInto(completed, eng.Loads(), delta) {
+			if !spec.Events.DeltaInto(completed, m.State(), delta) {
 				return true
 			}
 			var added, removed int64
@@ -284,13 +280,12 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			if added == 0 && removed == 0 {
 				return true
 			}
-			if err := eng.ApplyDelta(delta); err != nil {
+			if err := m.ApplyDelta(delta); err != nil {
 				// Unreachable by construction (delta has N entries), but a
 				// schedule bug must not pass silently.
 				panic(err)
 			}
-			ilo, ihi := core.Extrema(eng.Loads())
-			after := ihi - ilo
+			after, ilo, ihi := observe()
 			// Shocks can overlap: an injection while earlier shocks are still
 			// unrecovered is part of their observation window, so the
 			// post-injection spike counts toward their peaks too.
@@ -363,8 +358,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			if !ch.Changed() {
 				return true
 			}
-			flo, fhi := core.Extrema(eng.Loads())
-			fdisc := fhi - flo
+			fdisc, flo, fhi := observe()
 			_, comps := eng.Components()
 			eff := eng.EffectiveDiscrepancy()
 			// A redistribution (or the next fault of a flap) can spike the
@@ -434,13 +428,12 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 				// inject already finalized at the post-injection state.
 				return
 			}
-			if err := eng.Step(); err != nil {
+			if err := m.Step(); err != nil {
 				// The failed round did execute (state is left advanced for
 				// debugging), so its discrepancy joins the bookkeeping like
 				// any other stopping round.
 				res.Err = err
-				slo, shi := core.Extrema(eng.Loads())
-				sdisc := shi - slo
+				sdisc, slo, shi := observe()
 				if sdisc < best {
 					best = sdisc
 				}
@@ -448,8 +441,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 				yield(round, Snapshot{Discrepancy: sdisc, Max: shi, Min: slo})
 				return
 			}
-			lo, hi := core.Extrema(eng.Loads())
-			disc := hi - lo
+			disc, lo, hi := observe()
 			sampled := false
 			if spec.SampleEvery > 0 && round%spec.SampleEvery == 0 {
 				res.Series = append(res.Series, Point{Round: round, Discrepancy: disc, Max: hi, Min: lo})

@@ -9,6 +9,7 @@ import (
 
 	"detlb/internal/balancer"
 	"detlb/internal/graph"
+	"detlb/internal/protocol"
 	"detlb/internal/workload"
 )
 
@@ -20,6 +21,25 @@ func streamTestSpec() RunSpec {
 		Initial:     workload.PointMass(32, 0, 320),
 		MaxRounds:   60,
 		SampleEvery: 1,
+	}
+}
+
+// streamTestSpecs are the inputs of the stream-contract tests: a diffusion
+// spec and a majority-protocol spec, both driven by the one round loop.
+func streamTestSpecs() []struct {
+	name string
+	spec RunSpec
+} {
+	maj := majoritySpec(protocol.NewMajority(64, 7), 0)
+	maj.TargetDiscrepancy = nil
+	maj.MaxRounds = 60
+	maj.SampleEvery = 1
+	return []struct {
+		name string
+		spec RunSpec
+	}{
+		{"rotor-router", streamTestSpec()},
+		{"majority", maj},
 	}
 }
 
@@ -89,27 +109,31 @@ func TestStreamYieldsShockSnapshots(t *testing.T) {
 // before starting another round, and the bookkeeping reports the rounds that
 // actually completed plus a cancellation error.
 func TestStreamCancellationStopsWithinOneRound(t *testing.T) {
-	spec := streamTestSpec()
-	spec.MaxRounds = 100000
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	for _, tc := range streamTestSpecs() {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.MaxRounds = 100000
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 
-	var res RunResult
-	last := -1
-	for r := range StreamInto(ctx, spec, &res) {
-		last = r
-		if r == 3 {
-			cancel()
-		}
-	}
-	if last != 3 {
-		t.Fatalf("stream yielded round %d after cancellation at round 3", last)
-	}
-	if res.Rounds != 3 {
-		t.Fatalf("res.Rounds = %d, want 3", res.Rounds)
-	}
-	if res.Err == nil || res.Err.Error() != "analysis: stream canceled: context canceled" {
-		t.Fatalf("res.Err = %v", res.Err)
+			var res RunResult
+			last := -1
+			for r := range StreamInto(ctx, spec, &res) {
+				last = r
+				if r == 3 {
+					cancel()
+				}
+			}
+			if last != 3 {
+				t.Fatalf("stream yielded round %d after cancellation at round 3", last)
+			}
+			if res.Rounds != 3 {
+				t.Fatalf("res.Rounds = %d, want 3", res.Rounds)
+			}
+			if res.Err == nil || res.Err.Error() != "analysis: stream canceled: context canceled" {
+				t.Fatalf("res.Err = %v", res.Err)
+			}
+		})
 	}
 }
 
@@ -133,35 +157,42 @@ func TestStreamPreCanceledContext(t *testing.T) {
 
 // Breaking out of the loop finalizes the bookkeeping at the break round.
 func TestStreamBreakFinalizes(t *testing.T) {
-	spec := streamTestSpec()
-	var res RunResult
-	var at Snapshot
-	for r, s := range StreamInto(context.Background(), spec, &res) {
-		if r == 5 {
-			at = s
-			break
-		}
-	}
-	if res.Rounds != 5 || res.FinalDiscrepancy != at.Discrepancy {
-		t.Fatalf("break bookkeeping: %+v (snapshot %+v)", res, at)
-	}
-	if res.Err != nil {
-		t.Fatalf("a consumer break is not an error: %v", res.Err)
+	for _, tc := range streamTestSpecs() {
+		t.Run(tc.name, func(t *testing.T) {
+			var res RunResult
+			var at Snapshot
+			for r, s := range StreamInto(context.Background(), tc.spec, &res) {
+				if r == 5 {
+					at = s
+					break
+				}
+			}
+			if res.Rounds != 5 || res.FinalDiscrepancy != at.Discrepancy {
+				t.Fatalf("break bookkeeping: %+v (snapshot %+v)", res, at)
+			}
+			if res.Err != nil {
+				t.Fatalf("a consumer break is not an error: %v", res.Err)
+			}
+		})
 	}
 }
 
 // Breaking on the opening round-0 snapshot still produces the one-point
 // trajectory a sampled spec promises.
 func TestStreamBreakAtRoundZeroKeepsSample(t *testing.T) {
-	spec := streamTestSpec()
-	spec.SampleEvery = 5
-	var res RunResult
-	for range StreamInto(context.Background(), spec, &res) {
-		break
-	}
-	if len(res.Series) != 1 || res.Series[0].Round != 0 ||
-		res.Series[0].Discrepancy != res.FinalDiscrepancy {
-		t.Fatalf("series after round-0 break: %+v (res %+v)", res.Series, res)
+	for _, tc := range streamTestSpecs() {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.SampleEvery = 5
+			var res RunResult
+			for range StreamInto(context.Background(), spec, &res) {
+				break
+			}
+			if len(res.Series) != 1 || res.Series[0].Round != 0 ||
+				res.Series[0].Discrepancy != res.FinalDiscrepancy {
+				t.Fatalf("series after round-0 break: %+v (res %+v)", res.Series, res)
+			}
+		})
 	}
 }
 

@@ -155,47 +155,34 @@ type sweepKey struct {
 }
 
 // groupKey returns the spec's reuse key. keyed is false when the spec cannot
-// be grouped — nil fields (the spec will fail in prepareResult), a spec
-// setting both Algorithm and Model (it will fail in prepareModelResult), or
-// an algorithm/builder of a non-comparable dynamic type, which cannot serve
-// as a map key; such specs each form their own single-spec group.
+// be grouped — nil fields or both Algorithm and Model set (the spec will fail
+// in prepareResult), or an algorithm/builder of a non-comparable dynamic
+// type, which cannot serve as a map key; such specs each form their own
+// single-spec group.
 func groupKey(spec RunSpec) (sweepKey, bool) {
+	var sim any = spec.Algorithm
 	if spec.Model != nil {
-		if spec.Balancing == nil || spec.Algorithm != nil {
-			return sweepKey{}, false
-		}
-		if t := reflect.TypeOf(spec.Model); !t.Comparable() {
-			return sweepKey{}, false
-		}
-		return sweepKey{b: spec.Balancing, model: spec.Model}, true
+		sim = spec.Model
 	}
-	if spec.Balancing == nil || spec.Algorithm == nil {
+	if spec.Balancing == nil || (spec.Algorithm == nil) == (spec.Model == nil) ||
+		!reflect.TypeOf(sim).Comparable() {
 		return sweepKey{}, false
 	}
-	if t := reflect.TypeOf(spec.Algorithm); !t.Comparable() {
-		return sweepKey{}, false
-	}
-	return sweepKey{b: spec.Balancing, algo: spec.Algorithm}, true
+	return sweepKey{b: spec.Balancing, algo: spec.Algorithm, model: spec.Model}, true
 }
 
 // sweepCache carries one group's reusable simulator — a diffusion engine or
 // a model — between compatible specs.
 type sweepCache struct {
-	eng        *core.Engine
-	engWorkers int
-	mdl        core.Model
-	mdlWorkers int
+	m       core.Model
+	workers int
 }
 
 // close releases whatever the cache holds; idempotent.
 func (c *sweepCache) close() {
-	if c.eng != nil {
-		c.eng.Close()
-		c.eng = nil
-	}
-	if c.mdl != nil {
-		c.mdl.Close()
-		c.mdl = nil
+	if c.m != nil {
+		c.m.Close()
+		c.m = nil
 	}
 }
 
@@ -224,8 +211,8 @@ func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results 
 	}
 }
 
-// runSweepSpec runs one spec, reusing the cached engine/model (resetting it
-// in place) when the spec is compatible with it, replacing it otherwise.
+// runSweepSpec runs one spec, reusing the cached simulator (resetting it in
+// place) when the spec is compatible with it, replacing it otherwise.
 // Panics — bind-time validation in balancers, hostile user implementations —
 // are converted to the spec's Err, and the cache is discarded since its
 // state is unknown after an unwound run.
@@ -237,67 +224,37 @@ func runSweepSpec(ctx context.Context, spec RunSpec, cache *sweepCache) (res Run
 		}
 	}()
 
-	if spec.Model != nil {
-		res, ok := prepareModelResult(spec)
-		if !ok {
-			return res
-		}
-		if cache.mdl != nil && cache.mdlWorkers == spec.Workers {
-			if err := cache.mdl.Reset(spec.Initial); err == nil {
-				return runModelContext(ctx, spec, cache.mdl, res)
-			}
-			// Reset declined (wrong vector length, illegal state encoding):
-			// fall through to a fresh model, which surfaces the real error.
-		}
-		if cache.mdl != nil {
-			cache.mdl.Close()
-			cache.mdl = nil
-		}
-		m, err := spec.Model.New(spec.Initial, spec.Workers)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		cache.mdl, cache.mdlWorkers = m, spec.Workers
-		return runModelContext(ctx, spec, m, res)
-	}
-
 	res, ok := prepareResult(spec)
 	if !ok {
 		return res
 	}
 
-	// Auditors are per-run observers: never share an engine across them.
-	if len(spec.Auditors) > 0 {
-		opts := []core.Option{core.WithWorkers(spec.Workers)}
-		for _, a := range spec.Auditors {
-			opts = append(opts, core.WithAuditor(a))
-		}
-		e, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, opts...)
+	m := cache.m
+	switch {
+	case len(spec.Auditors) > 0:
+		// Auditors are per-run observers: never share an engine across them.
+		fresh, err := newModel(spec)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		defer e.Close()
-		return runEngineContext(ctx, spec, e, res)
-	}
-
-	if cache.eng != nil && cache.engWorkers == spec.Workers {
-		if err := cache.eng.Reset(spec.Initial); err == nil {
-			return runEngineContext(ctx, spec, cache.eng, res)
+		defer fresh.Close()
+		m = fresh
+	case m != nil && cache.workers == spec.Workers && m.Reset(spec.Initial) == nil:
+		// Reused in place. A declined Reset (wrong vector length, illegal
+		// state encoding, unresettable bound state) falls through to a fresh
+		// simulator, which surfaces any real error.
+	default:
+		cache.close()
+		fresh, err := newModel(spec)
+		if err != nil {
+			res.Err = err
+			return res
 		}
-		// Reset declined (wrong vector length, unresettable bound state):
-		// fall through to a fresh engine, which surfaces any real error.
+		cache.m, cache.workers = fresh, spec.Workers
+		m = fresh
 	}
-	if cache.eng != nil {
-		cache.eng.Close()
-		cache.eng = nil
+	for range streamRounds(ctx, spec, m, &res) {
 	}
-	e, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, core.WithWorkers(spec.Workers))
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	cache.eng, cache.engWorkers = e, spec.Workers
-	return runEngineContext(ctx, spec, e, res)
+	return res
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"detlb/internal/balancer"
 	"detlb/internal/core"
@@ -481,24 +482,49 @@ func MatchingModel(cfg Config) *Table {
 	return t
 }
 
-// AllExperiments runs the complete suite in DESIGN.md order.
+// experimentSuite is the complete suite in report order, keyed by the IDs
+// lbreport -only accepts.
+var experimentSuite = []struct {
+	id  string
+	run func(Config) *Table
+}{
+	{"E1", Table1},
+	{"E2", Thm23Expander},
+	{"E3", Thm23Cycle},
+	{"E4", Thm33GoodS},
+	{"E5", Thm41},
+	{"E6", Thm42},
+	{"E7", Thm43},
+	{"E8", FairnessAudit},
+	{"E9", PotentialDrop},
+	{"E10", ExpanderHeadline},
+	{"E11", PhaseExperiment},
+	{"EXT", MatchingModel},
+	{"EXT2", IrregularExperiment},
+	{"EXT3", WeightedExperiment},
+	{"ABL1", AblationSelfLoops},
+	{"ABL2", AblationRotorOrder},
+}
+
+// AllExperiments runs the complete suite in report order: E1 (Table 1)
+// through E11, the EXT extensions, and the ABL ablations.
 func AllExperiments(cfg Config) []*Table {
-	return []*Table{
-		Table1(cfg),
-		Thm23Expander(cfg),
-		Thm23Cycle(cfg),
-		Thm33GoodS(cfg),
-		Thm41(cfg),
-		Thm42(cfg),
-		Thm43(cfg),
-		FairnessAudit(cfg),
-		PotentialDrop(cfg),
-		ExpanderHeadline(cfg),
-		PhaseExperiment(cfg),
-		MatchingModel(cfg),
-		IrregularExperiment(cfg),
-		WeightedExperiment(cfg),
-		AblationSelfLoops(cfg),
-		AblationRotorOrder(cfg),
+	tables := make([]*Table, len(experimentSuite))
+	for i, e := range experimentSuite {
+		tables[i] = e.run(cfg)
 	}
+	return tables
+}
+
+// Experiment runs the one experiment with the given ID (case-insensitive,
+// e.g. "E3" or "abl1").
+func Experiment(id string, cfg Config) (*Table, error) {
+	var ids []string
+	for _, e := range experimentSuite {
+		if strings.EqualFold(id, e.id) {
+			return e.run(cfg), nil
+		}
+		ids = append(ids, e.id)
+	}
+	return nil, fmt.Errorf("analysis: unknown experiment %q (have %s)", id, strings.Join(ids, ", "))
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"detlb/internal/analysis"
 )
 
 // FuzzScenario drives the identity the scenario layer promises: for any
@@ -105,38 +107,30 @@ func fuzzAlgo(t *testing.T, text string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.IsModel() {
-		// Protocol kinds bind through BindModel; Bind must refuse them.
-		if s.Model != ModelProtocol {
-			t.Fatalf("model kind %q normalized without the %q tag: %#v", s.Kind, ModelProtocol, s)
-		}
-		if _, err := s.Bind(b); err == nil {
-			t.Fatalf("Bind accepted model kind %q", s.Kind)
-		}
-		m1, met1, err1 := s.BindModel(b)
-		m2, met2, err2 := rt.BindModel(b)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("bind divergence: %v vs %v", err1, err2)
-		}
-		if err1 != nil {
-			return
-		}
-		if m1.Name() != m2.Name() || met1.Name() != met2.Name() {
-			t.Fatalf("bound models differ: %s/%s vs %s/%s", m1.Name(), met1.Name(), m2.Name(), met2.Name())
-		}
-		return
-	}
-	if _, _, err := s.BindModel(b); err == nil {
-		t.Fatalf("BindModel accepted diffusion kind %q", s.Kind)
-	}
+	// Protocol kinds normalize with the model tag and bind to Model+Metric;
+	// diffusion kinds stay untagged and bind to an Algorithm.
 	a1, err1 := s.Bind(b)
 	a2, err2 := rt.Bind(b)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("bind divergence: %v vs %v", err1, err2)
 	}
-	if err1 == nil && a1.Name() != a2.Name() {
-		t.Fatalf("bound algorithms differ: %s vs %s", a1.Name(), a2.Name())
+	if err1 != nil {
+		return
 	}
+	if isModel := s.Model == ModelProtocol; isModel != (a1.Model != nil) || isModel == (a1.Algorithm != nil) {
+		t.Fatalf("kind %q (model tag %q) bound to %+v", s.Kind, s.Model, a1)
+	}
+	if boundName(a1) != boundName(a2) {
+		t.Fatalf("bound simulators differ: %s vs %s", boundName(a1), boundName(a2))
+	}
+}
+
+// boundName labels the simulator half of a bound RunSpec.
+func boundName(spec analysis.RunSpec) string {
+	if spec.Model != nil {
+		return spec.Model.Name() + "/" + spec.Metric.Name()
+	}
+	return spec.Algorithm.Name()
 }
 
 func fuzzWorkload(t *testing.T, text string) {

@@ -172,7 +172,7 @@ func TestMajorityVsRotorPreset(t *testing.T) {
 				i, cells[i].Algo.String(), res.FinalDiscrepancy, res.Rounds)
 		}
 		wantMetric := ""
-		if cells[i].Algo.IsModel() {
+		if cells[i].Algo.Model == ModelProtocol {
 			wantMetric = "unconverged"
 		}
 		if res.Metric != wantMetric {

@@ -296,7 +296,7 @@ var algoRegistry = map[string]algoEntry{
 
 // protocolEntry describes one population-protocol model kind. build returns
 // the sweep-groupable builder together with the convergence metric the family
-// is judged by — the pair BindScenarios threads into RunSpec.Model/Metric.
+// is judged by — the pair AlgoSpec.Bind sets as RunSpec.Model/Metric.
 type protocolEntry struct {
 	args  []argDef
 	build func(a []int64, b *graph.Balancing) (core.ModelBuilder, core.Metric)
@@ -351,47 +351,28 @@ func normalizeAlgo(s AlgoSpec) (AlgoSpec, error) {
 	return s, nil
 }
 
-// IsModel reports whether the descriptor names a population-protocol model
-// kind (bound with BindModel) rather than a diffusion balancer (bound with
-// Bind).
-func (s AlgoSpec) IsModel() bool {
-	_, ok := protocolRegistry[s.Kind]
-	return ok
-}
-
-// Bind instantiates the balancer against the balancing graph b (matching
-// schedulers need the graph). Every call returns a fresh instance:
-// algorithms that keep per-run state on the instance (mimic, bounded-error,
-// matching) must not be shared across concurrently running engines.
-func (s AlgoSpec) Bind(b *graph.Balancing) (algo core.Balancer, err error) {
+// Bind instantiates the descriptor against the balancing graph b (matching
+// schedulers need the graph, protocols take their agent count from it) as
+// the simulator half of a RunSpec: Balancing plus either Algorithm, for a
+// diffusion balancer, or Model and Metric, for a protocol kind. Every call
+// returns a fresh balancer instance: algorithms that keep per-run state on
+// the instance (mimic, bounded-error, matching) must not be shared across
+// concurrently running engines. Protocol builders are stateless, so one
+// bound builder may back every cell of a sweep — the identity analysis.Sweep
+// groups model specs on.
+func (s AlgoSpec) Bind(b *graph.Balancing) (spec analysis.RunSpec, err error) {
 	s, err = normalizeAlgo(s)
 	if err != nil {
-		return nil, err
-	}
-	if s.IsModel() {
-		return nil, fmt.Errorf("algorithm %s is a %s model; bind it with BindModel", s.String(), ModelProtocol)
+		return spec, err
 	}
 	defer recoverTo(&err, "algorithm "+s.String())
-	return algoRegistry[s.Kind].build(s.Args, b), nil
-}
-
-// BindModel constructs the model builder and convergence metric a protocol
-// descriptor describes, sized against the balancing graph b. Builders are
-// stateless descriptors (models are instantiated per run by the harness), so
-// one bound builder may back every cell of a sweep — the identity
-// analysis.Sweep groups model specs on.
-func (s AlgoSpec) BindModel(b *graph.Balancing) (m core.ModelBuilder, metric core.Metric, err error) {
-	s, err = normalizeAlgo(s)
-	if err != nil {
-		return nil, nil, err
+	spec.Balancing = b
+	if e, ok := protocolRegistry[s.Kind]; ok {
+		spec.Model, spec.Metric = e.build(s.Args, b)
+	} else {
+		spec.Algorithm = algoRegistry[s.Kind].build(s.Args, b)
 	}
-	e, ok := protocolRegistry[s.Kind]
-	if !ok {
-		return nil, nil, fmt.Errorf("algorithm %s is not a %s model; bind it with Bind", s.String(), ModelProtocol)
-	}
-	defer recoverTo(&err, "algorithm "+s.String())
-	m, metric = e.build(s.Args, b)
-	return m, metric, nil
+	return spec, nil
 }
 
 // workloadEntry describes one initial-load generator.
@@ -762,13 +743,6 @@ func (s TopologySpec) Bind(n int) (topology.Schedule, error) {
 	}
 }
 
-// boundModel is one bound protocol descriptor: the builder shared across a
-// family's cells (the sweep's model grouping identity) plus its metric.
-type boundModel struct {
-	builder core.ModelBuilder
-	metric  core.Metric
-}
-
 // BindScenarios binds a list of scenario cells into RunSpecs, sharing one
 // balancing graph per distinct graph descriptor, one algorithm instance (or
 // model builder) per (graph, algorithm) descriptor pair, and one initial
@@ -778,8 +752,7 @@ type boundModel struct {
 func BindScenarios(cells []Scenario) ([]analysis.RunSpec, error) {
 	specs := make([]analysis.RunSpec, len(cells))
 	graphs := map[string]*graph.Balancing{}
-	algos := map[string]core.Balancer{}
-	models := map[string]boundModel{}
+	sims := map[string]analysis.RunSpec{}
 	loads := map[string][]int64{}
 	for i := range cells {
 		cell := cells[i]
@@ -796,34 +769,20 @@ func BindScenarios(cells []Scenario) ([]analysis.RunSpec, error) {
 			}
 			graphs[gKey] = b
 		}
+		if cell.Algo.Model == ModelProtocol && (len(cell.Schedule) > 0 || len(cell.Topology) > 0) {
+			return nil, fmt.Errorf(
+				"algorithm %s is a %s model; workload and topology schedules only apply to diffusion runs",
+				cell.Algo.String(), ModelProtocol)
+		}
 		aKey := gKey + "|" + cell.Algo.String()
-		var algo core.Balancer
-		var model boundModel
-		if cell.Algo.IsModel() {
-			if len(cell.Schedule) > 0 || len(cell.Topology) > 0 {
-				return nil, fmt.Errorf(
-					"algorithm %s is a %s model; workload and topology schedules only apply to diffusion runs",
-					cell.Algo.String(), ModelProtocol)
+		spec, ok := sims[aKey]
+		if !ok {
+			var err error
+			spec, err = cell.Algo.Bind(b)
+			if err != nil {
+				return nil, err
 			}
-			model, ok = models[aKey]
-			if !ok {
-				var err error
-				model.builder, model.metric, err = cell.Algo.BindModel(b)
-				if err != nil {
-					return nil, err
-				}
-				models[aKey] = model
-			}
-		} else {
-			algo, ok = algos[aKey]
-			if !ok {
-				var err error
-				algo, err = cell.Algo.Bind(b)
-				if err != nil {
-					return nil, err
-				}
-				algos[aKey] = algo
-			}
+			sims[aKey] = spec
 		}
 		wKey := gKey + "|" + cell.Workload.String()
 		x1, ok := loads[wKey]
@@ -843,20 +802,14 @@ func BindScenarios(cells []Scenario) ([]analysis.RunSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec := analysis.RunSpec{
-			Balancing:       b,
-			Algorithm:       algo,
-			Model:           model.builder,
-			Metric:          model.metric,
-			Initial:         x1,
-			MaxRounds:       cell.Run.Rounds,
-			HorizonMultiple: cell.Run.HorizonMultiple,
-			Patience:        cell.Run.Patience,
-			Workers:         cell.Run.Workers,
-			SampleEvery:     cell.Run.SampleEvery,
-			Events:          events,
-			Topology:        faults,
-		}
+		spec.Initial = x1
+		spec.MaxRounds = cell.Run.Rounds
+		spec.HorizonMultiple = cell.Run.HorizonMultiple
+		spec.Patience = cell.Run.Patience
+		spec.Workers = cell.Run.Workers
+		spec.SampleEvery = cell.Run.SampleEvery
+		spec.Events = events
+		spec.Topology = faults
 		if cell.Run.Target != nil {
 			spec.TargetDiscrepancy = analysis.Target(*cell.Run.Target)
 		}

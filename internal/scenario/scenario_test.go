@@ -11,7 +11,9 @@ import (
 )
 
 // Malformed numeric arguments must be parse errors, never silent defaults:
-// the historical atoi helper turned "cycle:abc" into a 64-cycle.
+// the historical atoi helper turned "cycle:abc" into a 64-cycle. Malformed
+// schedule parts (missing arguments, unknown kinds, inside a composition
+// too) fail at parse time as well.
 func TestParseRejectsMalformedNumerics(t *testing.T) {
 	graphs := []string{"cycle:abc", "torus:4,x", "hypercube:3.5", "complete:1e3",
 		"random:64,8,zzz", "gp:7,q", "kbipartite:#", "circulant:x,1+2", "circulant:16,1+x"}
@@ -32,7 +34,8 @@ func TestParseRejectsMalformedNumerics(t *testing.T) {
 			t.Errorf("workload %q should fail to parse", spec)
 		}
 	}
-	schedules := []string{"burst:x,0,10", "churn:8,64,s", "refill:10,1k", "drain:0,9,?"}
+	schedules := []string{"burst:x,0,10", "churn:8,64,s", "refill:10,1k", "drain:0,9,?",
+		"burst:20,3", "quake:1,2,3", "burst:10,0,5+quake:1"}
 	for _, spec := range schedules {
 		if _, err := ParseSchedule(spec); err == nil {
 			t.Errorf("schedule %q should fail to parse", spec)
@@ -126,20 +129,71 @@ func TestParseMaterializesDefaults(t *testing.T) {
 }
 
 func TestScheduleSpecRoundTripsThroughString(t *testing.T) {
-	spec, err := ParseSchedule("burst:10,0,512+drain:20,40,2+churn:8,64,5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := ParseSchedule(spec.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spec, again) {
-		t.Fatalf("%v != %v", spec, again)
-	}
-	if none, err := ParseSchedule("none"); err != nil || none.String() != "none" {
-		t.Fatalf("static schedule renders %q (%v)", none.String(), err)
-	}
+	// A composition round-trips through its string and binds to a Compose
+	// whose parts carry the arguments in grammar order.
+	t.Run("composition_binds_to_Compose", func(t *testing.T) {
+		spec, err := ParseSchedule("burst:10,0,512+drain:20,40,2+churn:8,64,5+refill:50,1024,25+periodic:30,5,64")
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseSchedule(spec.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("%v != %v", spec, again)
+		}
+		sched, err := spec.Bind(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := workload.Compose{
+			workload.Burst{Round: 10, Node: 0, Amount: 512},
+			workload.Drain{From: 20, To: 40, PerNode: 2},
+			workload.Churn{Every: 8, Amount: 64, Seed: 5},
+			workload.Refill{Round: 50, Amount: 1024, Every: 25},
+			workload.Periodic{Every: 30, Node: 5, Amount: 64},
+		}
+		if !reflect.DeepEqual(sched, want) {
+			t.Fatalf("bound %#v, want %#v", sched, want)
+		}
+	})
+	// A single part binds to the bare schedule, not a one-part Compose, with
+	// static defaults (churn's seed) materialized.
+	t.Run("single_part_binds_bare", func(t *testing.T) {
+		for _, c := range []struct {
+			spec string
+			want workload.Schedule
+		}{
+			{"burst:20,3,4096", workload.Burst{Round: 20, Node: 3, Amount: 4096}},
+			{"churn:10,256", workload.Churn{Every: 10, Amount: 256, Seed: 1}},
+			{"refill:50,1024,25", workload.Refill{Round: 50, Amount: 1024, Every: 25}},
+		} {
+			spec, err := ParseSchedule(c.spec)
+			if err != nil {
+				t.Fatalf("%q: %v", c.spec, err)
+			}
+			sched, err := spec.Bind(16)
+			if err != nil {
+				t.Fatalf("%q: %v", c.spec, err)
+			}
+			if !reflect.DeepEqual(sched, c.want) {
+				t.Errorf("%q bound %#v, want %#v", c.spec, sched, c.want)
+			}
+		}
+	})
+	// Every spelling of a static schedule renders as "none" and binds to nil.
+	t.Run("static_spellings_bind_nil", func(t *testing.T) {
+		for _, text := range []string{"none", "", "none+none"} {
+			none, err := ParseSchedule(text)
+			if err != nil || none.String() != "none" {
+				t.Fatalf("static schedule %q renders %q (%v)", text, none.String(), err)
+			}
+			if sched, err := none.Bind(16); err != nil || sched != nil {
+				t.Fatalf("static schedule %q binds to %#v (%v)", text, sched, err)
+			}
+		}
+	})
 }
 
 func TestTopologyGrammar(t *testing.T) {
@@ -426,9 +480,35 @@ func TestBindContainsConstructorPanics(t *testing.T) {
 			t.Errorf("%v should fail to bind", g)
 		}
 	}
-	if _, err := (ScheduleSpec{{Kind: "burst", Args: []int64{5, 99, 32}}}).Bind(16); err == nil {
-		t.Error("out-of-range shock node should fail to bind")
+	// Schedules addressing a node out of range, or that can never fire, are
+	// rejected at bind time instead of running static under a dynamic label.
+	bindRejects := func(t *testing.T, specs []string) {
+		for _, spec := range specs {
+			s, err := ParseSchedule(spec)
+			if err != nil {
+				t.Fatalf("%q should parse (bind rejects it): %v", spec, err)
+			}
+			if _, err := s.Bind(16); err == nil {
+				t.Errorf("schedule %q should fail to bind on 16 nodes", spec)
+			}
+		}
 	}
+	t.Run("schedule_out_of_range_or_never_fires", func(t *testing.T) {
+		bindRejects(t, []string{
+			"burst:5,99,32",              // node out of range for n=16
+			"periodic:5,-1,10",           // negative node
+			"churn:0,256",                // zero cadence
+			"periodic:0,1,10",            // zero cadence
+			"burst:-5,0,10",              // negative round
+			"drain:20,10,5",              // empty window
+			"drain:5,10,0",               // nothing to drain
+			"refill:10,100,-5",           // negative cadence
+			"burst:10,0,5+burst:1,99,32", // bad part inside a composition
+		})
+	})
+	t.Run("schedule_zero_amount", func(t *testing.T) {
+		bindRejects(t, []string{"burst:20,0,0", "periodic:5,1,0", "refill:10,0"})
+	})
 	if _, err := (WorkloadSpec{Kind: "random", Args: []int64{-5, 1}}).Bind(8); err == nil {
 		t.Error("negative random max should fail to bind")
 	}
