@@ -46,7 +46,6 @@ import (
 	"strings"
 
 	"detlb/internal/archive"
-	"detlb/internal/columns"
 )
 
 func main() {
@@ -149,23 +148,8 @@ func runLocal(stdout io.Writer, dir, cmd string, where, sel, group, aggs []strin
 		}
 		return archive.EncodeJSON(stdout, rep)
 	default: // columns
-		return archive.EncodeJSON(stdout, columnTable())
+		return archive.EncodeJSON(stdout, archive.ColumnTable())
 	}
-}
-
-// columnRecord mirrors the serving tier's /v1/archive/columns wire form.
-type columnRecord struct {
-	Name string `json:"name,omitempty"`
-	Kind string `json:"kind,omitempty"`
-	Doc  string `json:"doc,omitempty"`
-}
-
-func columnTable() []columnRecord {
-	var out []columnRecord
-	for _, col := range columns.Queryable() {
-		out = append(out, columnRecord{Name: col.Name, Kind: col.Kind.String(), Doc: col.Doc})
-	}
-	return out
 }
 
 // runRemote sends the equivalent GET to a running lbserve and streams the

@@ -1,8 +1,12 @@
 // Command lbsweep runs a scenario sweep: the cross product of graph ×
 // algorithm × workload × schedule × topology specs, fanned out over the
 // concurrent sweep harness (engines reused per (graph, algorithm) group,
-// spectral gaps memoized per graph), with per-spec rows and
-// per-(graph, algorithm) aggregate tables emitted as text, CSV, or JSON.
+// spectral gaps memoized per graph). Its one per-cell record is the
+// archive's: -json writes the result document lbserve archives for the same
+// family, byte for byte; -csv writes that document's full index projection
+// (one row per cell, the lbquery column names); and stdout summarizes it as
+// a grouped index query — one row per (graph, self-loops, algorithm) group of
+// successful cells.
 //
 // Usage:
 //
@@ -15,13 +19,13 @@
 //	        [-workers 0] [-sweep-workers 0] [-progress] \
 //	        [-scenario family.json] [-emit-scenario family.json] \
 //	        [-preset shock-recovery] [-list-presets] \
-//	        [-csv rows.csv] [-json sweep.json] [-series DIR]
+//	        [-csv cells.csv] [-json result.json] [-series DIR]
 //
 // Spec lists are semicolon-separated; the mini-language is lbsim's (the
 // grammar lives in internal/scenario, shared by the flags and the JSON
 // scenario files). Population-protocol models (majority[:SEED] |
 // herman[:SEED], with the opinions/tokens workloads) sweep on the same
-// grammar; their rows carry a metric column naming the model's convergence
+// grammar; their cells carry a metric column naming the model's convergence
 // metric in place of the diffusion discrepancy. -rounds 0 uses the paper's horizon T = ⌈16·ln(nK)/µ⌉
 // per instance; -loops -1 uses d° = d. -sweep-workers bounds the concurrent
 // (graph, algorithm) groups; results are bit-identical for every value.
@@ -39,7 +43,8 @@
 // churn:EVERY,AMOUNT[,SEED] | refill:ROUND,AMOUNT[,EVERY], composable with
 // "+"; "none" is a static run). -target N ≥ 0 sets the discrepancy target:
 // static runs stop when they reach it, dynamic runs use it to measure
-// per-shock recovery (shocks / mean recovery rounds / peak columns).
+// per-shock recovery (the shocks, shocks_recovered and shock_recovery_*
+// columns).
 //
 // -topologies injects deterministic faults between rounds
 // (faillink:ROUND,U,V | restorelink:ROUND,U,V | failnode:ROUND,NODE[,REDIST] |
@@ -47,14 +52,15 @@
 // partition:ROUND,BOUNDARY[,HEAL] | periodic-fault:EVERY,DOWN[,SEED],
 // composable with "+"; "none" keeps the graph pristine). Faulted runs report
 // per-fault recovery to the target on the effective (per-component)
-// discrepancy (faults / fault recovery / fault peak columns); see
-// docs/topology.md.
+// discrepancy (the faults, faults_recovered and fault_recovery_* columns);
+// see docs/topology.md.
+//
+// The JSON document and the CSV are pure functions of the family. Wall-clock
+// time and runs/sec appear only in the stdout summary's title.
 package main
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -65,88 +71,13 @@ import (
 	"time"
 
 	"detlb/internal/analysis"
+	"detlb/internal/archive"
 	"detlb/internal/scenario"
-	"detlb/internal/stats"
 	"detlb/internal/trace"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
-}
-
-// row is one per-spec record of the sweep report.
-type row struct {
-	Graph    string `json:"graph"`
-	Algo     string `json:"algo"`
-	Workload string `json:"workload"`
-	Schedule string `json:"schedule,omitempty"`
-	Topology string `json:"topology,omitempty"`
-	// Metric names the convergence metric of a model run ("unconverged",
-	// "tokens"); empty for diffusion rows, whose discrepancy columns keep
-	// their historical meaning.
-	Metric      string  `json:"metric,omitempty"`
-	N           int     `json:"n"`
-	Degree      int     `json:"d"`
-	SelfLoops   int     `json:"self_loops"`
-	Gap         float64 `json:"gap"`
-	T           int     `json:"balancing_time"`
-	Horizon     int     `json:"horizon"`
-	Rounds      int     `json:"rounds"`
-	InitialDisc int64   `json:"initial_discrepancy"`
-	FinalDisc   int64   `json:"final_discrepancy"`
-	MinDisc     int64   `json:"min_discrepancy"`
-	TargetRound int     `json:"target_round"`
-	Stopped     bool    `json:"stopped_early"`
-	// Dynamic-run recovery metrics (zero for static runs): shock count, how
-	// many recovered to the target, mean rounds-to-recover over the
-	// recovered ones, and the worst post-shock discrepancy peak. Not
-	// omitempty: 0 is a legitimate value for every one of them (instant
-	// recovery, nothing recovered) and must stay distinguishable from
-	// "key absent" — the φ=0 JSONL lesson.
-	Shocks       int     `json:"shocks"`
-	Recovered    int     `json:"recovered"`
-	MeanRecovery float64 `json:"mean_recovery_rounds"`
-	PeakDisc     int64   `json:"peak_shock_discrepancy"`
-	// Faulted-run recovery metrics, the topology mirror of the shock columns:
-	// fault event count, how many recovered to the target on the effective
-	// (per-component) discrepancy, mean rounds-to-recover over those, and the
-	// worst post-fault effective peak. Not omitempty for the same reason.
-	Faults            int     `json:"faults"`
-	FaultRecovered    int     `json:"fault_recovered"`
-	MeanFaultRecovery float64 `json:"mean_fault_recovery_rounds"`
-	PeakFaultDisc     int64   `json:"peak_fault_discrepancy"`
-	Err               string  `json:"error,omitempty"`
-
-	// recoverySum / faultRecoverySum are the exact integer rounds-to-recover
-	// totals behind the mean columns, carried so aggregates don't re-derive
-	// them from the rounded floats (unexported: not serialized).
-	recoverySum      int
-	faultRecoverySum int
-}
-
-// aggregate summarizes one (graph, algorithm) group over its workloads and
-// schedules.
-type aggregate struct {
-	Graph     string  `json:"graph"`
-	Algo      string  `json:"algo"`
-	Specs     int     `json:"specs"`
-	Errors    int     `json:"errors"`
-	Gap       float64 `json:"gap"`
-	MeanFinal float64 `json:"mean_final_discrepancy"`
-	MinFinal  float64 `json:"min_final_discrepancy"`
-	MaxFinal  float64 `json:"max_final_discrepancy"`
-	P50Final  float64 `json:"p50_final_discrepancy"`
-	MeanRound float64 `json:"mean_rounds"`
-	// Shocks and recovery aggregate the dynamic runs of the group: total
-	// injections, how many recovered to the target, and the mean
-	// rounds-to-recover over those (0 is legitimate, so not omitempty).
-	Shocks       int     `json:"shocks"`
-	Recovered    int     `json:"recovered"`
-	MeanRecovery float64 `json:"mean_recovery_rounds"`
-	// Faults aggregate the faulted runs of the group the same way.
-	Faults            int     `json:"faults"`
-	FaultRecovered    int     `json:"fault_recovered"`
-	MeanFaultRecovery float64 `json:"mean_fault_recovery_rounds"`
 }
 
 func run(args []string, stdout io.Writer) int {
@@ -168,8 +99,8 @@ func run(args []string, stdout io.Writer) int {
 	emitPath := fs.String("emit-scenario", "", "write the resolved family as a scenario JSON file (re-runnable via -scenario)")
 	presetName := fs.String("preset", "", "run a named preset family (see -list-presets)")
 	listPresets := fs.Bool("list-presets", false, "list the preset catalog and exit")
-	csvPath := fs.String("csv", "", "write per-spec rows to this CSV file")
-	jsonPath := fs.String("json", "", "write rows + aggregates to this JSON file")
+	csvPath := fs.String("csv", "", "write the per-cell index columns to this CSV file")
+	jsonPath := fs.String("json", "", "write the result document (lbserve's archived result.json) to this file")
 	seriesDir := fs.String("series", "", "write one JSONL trajectory per sampled spec into this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -227,6 +158,13 @@ func run(args []string, stdout io.Writer) int {
 			"target", "rounds", "loops", "patience", "sample", "workers")
 	}
 
+	// The digest names the result document exactly as lbserve's archive
+	// would for this family.
+	digest, canonical, err := fam.Fingerprint()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbsweep:", err)
+		return 2
+	}
 	specs, cells, err := fam.Bind()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbsweep:", err)
@@ -242,21 +180,6 @@ func run(args []string, stdout io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "wrote scenario to %s\n", *emitPath)
-	}
-
-	// Row labels are the canonical descriptor strings — defaults and seeds
-	// materialized ("rand-extra" reports as "rand-extra:1") — so every label
-	// identifies its run unambiguously and matches the emitted scenario.
-	type meta struct{ graphName, algoSpec, workloadSpec, scheduleSpec, topologySpec string }
-	metas := make([]meta, len(specs))
-	for i := range specs {
-		metas[i] = meta{
-			graphName:    specs[i].Balancing.Name(),
-			algoSpec:     cells[i].Algo.String(),
-			workloadSpec: cells[i].Workload.String(),
-			scheduleSpec: cells[i].Schedule.String(),
-			topologySpec: cells[i].Topology.String(),
-		}
 	}
 
 	opts := analysis.SweepOptions{Workers: *sweepWorkers}
@@ -291,10 +214,9 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}()
 	// Wall-clock audit (detcheck wallclock is scoped to internal/, so this is
-	// by convention, not the linter): elapsed feeds only the stderr summary
-	// and writeJSON's top-level elapsed_seconds / runs_per_second telemetry.
-	// It must never reach rows or aggregates — those are the deterministic
-	// payload that reruns and CI diffs compare byte for byte.
+	// by convention, not the linter): elapsed feeds only the summary title.
+	// It must never reach the result document or the CSV — those are the
+	// deterministic payload that reruns and CI diffs compare byte for byte.
 	start := time.Now()
 	results := analysis.SweepContext(ctx, specs, opts)
 	elapsed := time.Since(start)
@@ -303,102 +225,40 @@ func run(args []string, stdout io.Writer) int {
 	signal.Stop(sigc)
 	close(watcherDone)
 
-	rows := make([]row, len(results))
-	failures := 0
-	for i, res := range results {
-		m := metas[i]
-		r := row{
-			Graph:       m.graphName,
-			Algo:        m.algoSpec,
-			Workload:    m.workloadSpec,
-			Schedule:    m.scheduleSpec,
-			Topology:    m.topologySpec,
-			Metric:      res.Metric,
-			N:           specs[i].Balancing.N(),
-			Degree:      specs[i].Balancing.Degree(),
-			SelfLoops:   specs[i].Balancing.SelfLoops(),
-			Gap:         res.Gap,
-			T:           res.BalancingTime,
-			Horizon:     res.Horizon,
-			Rounds:      res.Rounds,
-			InitialDisc: res.InitialDiscrepancy,
-			FinalDisc:   res.FinalDiscrepancy,
-			MinDisc:     res.MinDiscrepancy,
-			TargetRound: res.TargetRound,
-			Stopped:     res.StoppedEarly,
-			Shocks:      len(res.Shocks),
-			Faults:      len(res.Faults),
-		}
-		if r.Schedule == "none" {
-			r.Schedule = ""
-		}
-		if r.Topology == "none" {
-			r.Topology = ""
-		}
-		for _, s := range res.Shocks {
-			if s.PeakDiscrepancy > r.PeakDisc {
-				r.PeakDisc = s.PeakDiscrepancy
-			}
-			if s.RecoveryRounds >= 0 {
-				r.Recovered++
-				r.recoverySum += s.RecoveryRounds
-			}
-		}
-		if r.Recovered > 0 {
-			r.MeanRecovery = float64(r.recoverySum) / float64(r.Recovered)
-		}
-		for _, f := range res.Faults {
-			if f.PeakDiscrepancy > r.PeakFaultDisc {
-				r.PeakFaultDisc = f.PeakDiscrepancy
-			}
-			if f.RecoveryRounds >= 0 {
-				r.FaultRecovered++
-				r.faultRecoverySum += f.RecoveryRounds
-			}
-		}
-		if r.FaultRecovered > 0 {
-			r.MeanFaultRecovery = float64(r.faultRecoverySum) / float64(r.FaultRecovered)
-		}
-		if res.Err != nil {
-			r.Err = res.Err.Error()
-			failures++
-		}
-		rows[i] = r
+	cols := make([]scenario.CellColumns, len(cells))
+	for i, c := range cells {
+		cols[i] = c.Columns()
 	}
-	aggs := aggregateRows(rows)
-
-	tab := &analysis.Table{
-		Title: fmt.Sprintf("sweep: %d specs in %v (%.1f runs/sec, %d failed)",
-			len(specs), elapsed.Round(time.Millisecond), float64(len(specs))/elapsed.Seconds(), failures),
-		Header: []string{"graph", "algo", "specs", "err", "µ", "final mean", "min", "max", "p50", "rounds mean", "shocks", "recov mean", "faults", "frecov mean"},
-		Note:   "final columns aggregate the final discrepancy over the group's workloads; recov/frecov mean is rounds-to-target after a shock/fault",
+	doc, failures, err := archive.BuildResultDoc(fam.Name, digest, cols, specs, results)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbsweep:", err)
+		return 1
 	}
-	for _, a := range aggs {
-		recov := "-"
-		if a.Recovered > 0 {
-			recov = fmt.Sprintf("%.1f", a.MeanRecovery)
-		}
-		frecov := "-"
-		if a.FaultRecovered > 0 {
-			frecov = fmt.Sprintf("%.1f", a.MeanFaultRecovery)
-		}
-		tab.AddRow(a.Graph, a.Algo, strconv.Itoa(a.Specs), strconv.Itoa(a.Errors),
-			fmt.Sprintf("%.4g", a.Gap), fmt.Sprintf("%.2f", a.MeanFinal),
-			fmt.Sprintf("%.0f", a.MinFinal), fmt.Sprintf("%.0f", a.MaxFinal),
-			fmt.Sprintf("%.1f", a.P50Final), fmt.Sprintf("%.1f", a.MeanRound),
-			strconv.Itoa(a.Shocks), recov, strconv.Itoa(a.Faults), frecov)
+	// An index fed only by Add: the sweep's one document, queried exactly
+	// as lbquery queries the archive.
+	ix := archive.NewIndex(nil)
+	if err := ix.Add(digest, canonical, doc); err != nil {
+		fmt.Fprintln(os.Stderr, "lbsweep:", err)
+		return 1
 	}
+	tab, err := summary(ix)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbsweep:", err)
+		return 1
+	}
+	tab.Title = fmt.Sprintf("sweep: %d specs in %v (%.1f runs/sec, %d failed)",
+		len(specs), elapsed.Round(time.Millisecond), float64(len(specs))/elapsed.Seconds(), failures)
 	fmt.Fprint(stdout, tab.String())
 
 	if *csvPath != "" {
-		if err := writeRowsCSV(*csvPath, rows); err != nil {
+		if err := writeCSV(*csvPath, ix); err != nil {
 			fmt.Fprintln(os.Stderr, "lbsweep:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %d rows to %s\n", len(rows), *csvPath)
+		fmt.Fprintf(stdout, "wrote %d rows to %s\n", len(cells), *csvPath)
 	}
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, rows, aggs, elapsed); err != nil {
+		if err := os.WriteFile(*jsonPath, doc, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "lbsweep:", err)
 			return 1
 		}
@@ -418,116 +278,73 @@ func run(args []string, stdout io.Writer) int {
 	return 0
 }
 
-// aggregateRows groups rows by (graph, algo) in first-seen order and
-// summarizes the final discrepancies of the group's non-failed specs.
-func aggregateRows(rows []row) []aggregate {
-	type key struct{ graph, algo string }
-	idx := map[key]int{}
-	var aggs []aggregate
-	finals := map[key][]float64{}
-	roundsSum := map[key]int{}
-	recoverySum := map[key]int{}
-	faultRecoverySum := map[key]int{}
-	for _, r := range rows {
-		k := key{r.Graph, r.Algo}
-		if _, ok := idx[k]; !ok {
-			idx[k] = len(aggs)
-			aggs = append(aggs, aggregate{Graph: r.Graph, Algo: r.Algo, Gap: r.Gap})
-		}
-		a := &aggs[idx[k]]
-		a.Specs++
-		if r.Err != "" {
-			a.Errors++
-			continue
-		}
-		finals[k] = append(finals[k], float64(r.FinalDisc))
-		roundsSum[k] += r.Rounds
-		a.Shocks += r.Shocks
-		a.Recovered += r.Recovered
-		recoverySum[k] += r.recoverySum
-		a.Faults += r.Faults
-		a.FaultRecovered += r.FaultRecovered
-		faultRecoverySum[k] += r.faultRecoverySum
-	}
-	for k, i := range idx {
-		a := &aggs[i]
-		fs := finals[k]
-		if len(fs) == 0 {
-			continue
-		}
-		a.MeanFinal = stats.Mean(fs)
-		a.MinFinal = stats.Min(fs)
-		a.MaxFinal = stats.Max(fs)
-		a.P50Final = stats.Quantile(fs, 0.5)
-		a.MeanRound = float64(roundsSum[k]) / float64(len(fs))
-		if a.Recovered > 0 {
-			a.MeanRecovery = float64(recoverySum[k]) / float64(a.Recovered)
-		}
-		if a.FaultRecovered > 0 {
-			a.MeanFaultRecovery = float64(faultRecoverySum[k]) / float64(a.FaultRecovered)
-		}
-	}
-	return aggs
+// summaryAggs are the summary table's aggregate columns: header, aggregate.
+// Recovery means are means of the per-cell means.
+var summaryAggs = [][2]string{
+	{"cells", "count"},
+	{"µ", "mean(gap)"},
+	{"final_mean", "mean(final_discrepancy)"},
+	{"final_min", "min(final_discrepancy)"},
+	{"final_max", "max(final_discrepancy)"},
+	{"rounds_mean", "mean(rounds)"},
+	{"shocks", "sum(shocks)"},
+	{"recovered", "sum(shocks_recovered)"},
+	{"recov_mean", "mean(shock_recovery_rounds_mean)"},
+	{"faults", "sum(faults)"},
+	{"frecovered", "sum(faults_recovered)"},
+	{"frecov_mean", "mean(fault_recovery_rounds_mean)"},
 }
 
-func writeRowsCSV(path string, rows []row) error {
+// summary groups the successful cells by (graph, self-loops, algorithm),
+// in sorted key order, and renders the aggregates as a table; the caller
+// sets the title.
+func summary(ix *archive.Index) (*analysis.Table, error) {
+	spec := archive.QuerySpec{Where: []string{"error="}, Group: []string{"graph,self_loops,algo"}}
+	tab := &analysis.Table{
+		Header: []string{"graph", "loops", "algo"},
+		Note:   "one row per (graph, loops, algo) group of successful cells; recov/frecov mean is the mean of the cells' mean rounds-to-target after a shock/fault",
+	}
+	for _, a := range summaryAggs {
+		tab.Header = append(tab.Header, a[0])
+		spec.Aggs = append(spec.Aggs, a[1])
+	}
+	q, err := archive.ParseQuerySpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ix.Query(q)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range res.Rows {
+		cells := make([]string, len(r))
+		for i, v := range r {
+			cells[i] = fmt.Sprint(v)
+			if x, ok := v.(float64); ok {
+				cells[i] = strconv.FormatFloat(x, 'g', 6, 64)
+			}
+		}
+		tab.AddRow(cells...)
+	}
+	return tab, nil
+}
+
+// writeCSV writes the index's full projection: one row per cell, one
+// column per queryable index column.
+func writeCSV(path string, ix *archive.Index) error {
+	res, err := ix.Query(archive.Query{})
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{
-		"graph", "algo", "workload", "schedule", "topology", "metric", "n", "d", "self_loops", "gap", "T",
-		"horizon", "rounds", "initial_disc", "final_disc", "min_disc", "target_round",
-		"stopped_early", "shocks", "recovered", "mean_recovery_rounds", "peak_shock_discrepancy",
-		"faults", "fault_recovered", "mean_fault_recovery_rounds", "peak_fault_discrepancy", "error",
-	}); err != nil {
+	if err := res.WriteCSV(f); err != nil {
+		f.Close()
 		return err
 	}
-	for _, r := range rows {
-		if err := w.Write([]string{
-			r.Graph, r.Algo, r.Workload, r.Schedule, r.Topology, r.Metric, strconv.Itoa(r.N), strconv.Itoa(r.Degree),
-			strconv.Itoa(r.SelfLoops), strconv.FormatFloat(r.Gap, 'g', -1, 64),
-			strconv.Itoa(r.T), strconv.Itoa(r.Horizon), strconv.Itoa(r.Rounds),
-			strconv.FormatInt(r.InitialDisc, 10), strconv.FormatInt(r.FinalDisc, 10),
-			strconv.FormatInt(r.MinDisc, 10), strconv.Itoa(r.TargetRound),
-			strconv.FormatBool(r.Stopped), strconv.Itoa(r.Shocks), strconv.Itoa(r.Recovered),
-			strconv.FormatFloat(r.MeanRecovery, 'g', -1, 64), strconv.FormatInt(r.PeakDisc, 10),
-			strconv.Itoa(r.Faults), strconv.Itoa(r.FaultRecovered),
-			strconv.FormatFloat(r.MeanFaultRecovery, 'g', -1, 64), strconv.FormatInt(r.PeakFaultDisc, 10), r.Err,
-		}); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
-}
-
-// writeJSON writes the machine-readable sweep document. The top-level
-// elapsed_seconds and runs_per_second fields are wall-clock CLI telemetry
-// and vary run to run by design; rows and aggregates are pure functions of
-// the specs and seeds. Anything comparing sweep output across runs must
-// diff rows/aggregates only.
-func writeJSON(path string, rows []row, aggs []aggregate, elapsed time.Duration) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		ElapsedSeconds float64     `json:"elapsed_seconds"`
-		RunsPerSecond  float64     `json:"runs_per_second"`
-		Rows           []row       `json:"rows"`
-		Aggregates     []aggregate `json:"aggregates"`
-	}{
-		ElapsedSeconds: elapsed.Seconds(),
-		RunsPerSecond:  float64(len(rows)) / elapsed.Seconds(),
-		Rows:           rows,
-		Aggregates:     aggs,
-	})
+	return f.Close()
 }
 
 // writeSeries exports every sampled trajectory as trace JSONL, one file per

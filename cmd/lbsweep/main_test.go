@@ -1,20 +1,89 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"detlb/internal/analysis"
+	"detlb/internal/archive"
+	"detlb/internal/columns"
+	"detlb/internal/scenario"
 	"detlb/internal/trace"
 )
 
+// readDoc decodes a -json output file.
+func readDoc(t *testing.T, path string) archive.ResultDoc {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc archive.ResultDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// readCSV reads a -csv output file as one map per cell, keyed by column.
+func readCSV(t *testing.T, path string) (header []string, rows []map[string]string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs[1:] {
+		row := map[string]string{}
+		for i, v := range rec {
+			row[recs[0][i]] = v
+		}
+		rows = append(rows, row)
+	}
+	return recs[0], rows
+}
+
+// summaryRows parses the stdout summary table into one map per group,
+// keyed by header.
+func summaryRows(t *testing.T, out string) []map[string]string {
+	t.Helper()
+	lines := strings.Split(out, "\n")
+	for i, l := range lines {
+		if !strings.HasPrefix(l, "== sweep:") {
+			continue
+		}
+		header := strings.Fields(lines[i+1])
+		var rows []map[string]string
+		for _, l := range lines[i+3:] {
+			if l == "" || strings.HasPrefix(l, "note:") {
+				return rows
+			}
+			row := map[string]string{}
+			for j, v := range strings.Fields(l) {
+				row[header[j]] = v
+			}
+			rows = append(rows, row)
+		}
+	}
+	t.Fatalf("no summary table in:\n%s", out)
+	return nil
+}
+
 func TestSweepEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	csvPath := filepath.Join(dir, "rows.csv")
-	jsonPath := filepath.Join(dir, "sweep.json")
+	csvPath := filepath.Join(dir, "cells.csv")
+	jsonPath := filepath.Join(dir, "result.json")
 	seriesDir := filepath.Join(dir, "series")
 
 	var out strings.Builder
@@ -36,43 +105,36 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("expected 8-spec sweep summary:\n%s", out.String())
 	}
 
-	csvData, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
+	// The CSV is the index's full projection: the registry's names in
+	// registry order, one row per cell.
+	header, rows := readCSV(t, csvPath)
+	var names []string
+	for _, col := range columns.Queryable() {
+		names = append(names, col.Name)
 	}
-	if lines := strings.Split(strings.TrimSpace(string(csvData)), "\n"); len(lines) != 9 {
-		t.Fatalf("expected header + 8 CSV rows, got %d lines", len(lines))
+	if strings.Join(header, ",") != strings.Join(names, ",") {
+		t.Fatalf("csv header %v, want the registry %v", header, names)
+	}
+	if len(rows) != 8 {
+		t.Fatalf("expected 8 CSV rows, got %d", len(rows))
 	}
 
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	doc := readDoc(t, jsonPath)
+	if len(doc.Cells) != 8 {
+		t.Fatalf("result document has %d cells, want 8", len(doc.Cells))
 	}
-	var report struct {
-		RunsPerSecond float64 `json:"runs_per_second"`
-		Rows          []struct {
-			Graph string `json:"graph"`
-			Err   string `json:"error"`
-		} `json:"rows"`
-		Aggregates []struct {
-			Specs  int `json:"specs"`
-			Errors int `json:"errors"`
-		} `json:"aggregates"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Rows) != 8 || len(report.Aggregates) != 4 {
-		t.Fatalf("report shape: %d rows, %d aggregates", len(report.Rows), len(report.Aggregates))
-	}
-	for _, r := range report.Rows {
-		if r.Err != "" {
-			t.Fatalf("unexpected failure: %+v", r)
+	for _, c := range doc.Cells {
+		if c.Err != "" {
+			t.Fatalf("unexpected failure: %+v", c)
 		}
 	}
-	for _, a := range report.Aggregates {
-		if a.Specs != 2 || a.Errors != 0 {
-			t.Fatalf("aggregate shape: %+v", a)
+	groups := summaryRows(t, out.String())
+	if len(groups) != 4 {
+		t.Fatalf("summary has %d groups, want 4:\n%s", len(groups), out.String())
+	}
+	for _, g := range groups {
+		if g["cells"] != "2" {
+			t.Fatalf("summary group shape: %v", g)
 		}
 	}
 
@@ -93,12 +155,13 @@ func TestSweepEndToEnd(t *testing.T) {
 }
 
 // TestSweepDynamicSchedules: the schedule dimension crosses with the rest,
-// recovery metrics land in the JSON report, and the JSONL trajectories carry
-// shock markers that round-trip through the trace reader.
+// recovery metrics land in the result document, the CSV and the summary,
+// and the JSONL trajectories carry shock markers that round-trip through
+// the trace reader.
 func TestSweepDynamicSchedules(t *testing.T) {
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "sweep.json")
-	csvPath := filepath.Join(dir, "rows.csv")
+	jsonPath := filepath.Join(dir, "result.json")
+	csvPath := filepath.Join(dir, "cells.csv")
 	seriesDir := filepath.Join(dir, "series")
 
 	var out strings.Builder
@@ -121,43 +184,40 @@ func TestSweepDynamicSchedules(t *testing.T) {
 		t.Fatalf("expected 3-spec sweep (1 graph × 1 algo × 1 workload × 3 schedules):\n%s", out.String())
 	}
 
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	doc := readDoc(t, jsonPath)
+	if len(doc.Cells) != 3 {
+		t.Fatalf("expected 3 cells, got %d", len(doc.Cells))
 	}
-	var report struct {
-		Rows []struct {
-			Schedule     string  `json:"schedule"`
-			Shocks       int     `json:"shocks"`
-			Recovered    int     `json:"recovered"`
-			MeanRecovery float64 `json:"mean_recovery_rounds"`
-			PeakDisc     int64   `json:"peak_shock_discrepancy"`
-			TargetRound  int     `json:"target_round"`
-			Err          string  `json:"error"`
-		} `json:"rows"`
-		Aggregates []struct {
-			Shocks    int `json:"shocks"`
-			Recovered int `json:"recovered"`
-		} `json:"aggregates"`
+	static, burst, composed := doc.Cells[0], doc.Cells[1], doc.Cells[2]
+	if static.Schedule != "" || len(static.Shocks) != 0 {
+		t.Fatalf("static cell polluted: %+v", static)
 	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatal(err)
+	if len(burst.Shocks) != 1 || burst.Shocks[0].RecoveryRounds <= 0 || burst.Shocks[0].PeakDiscrepancy < 4096 {
+		t.Fatalf("burst shock record: %+v", burst.Shocks)
 	}
-	if len(report.Rows) != 3 {
-		t.Fatalf("expected 3 rows, got %d", len(report.Rows))
+	if len(composed.Shocks) != 2 {
+		t.Fatalf("composed schedule should shock twice: %+v", composed.Shocks)
 	}
-	static, burst, composed := report.Rows[0], report.Rows[1], report.Rows[2]
-	if static.Schedule != "" || static.Shocks != 0 {
-		t.Fatalf("static row polluted: %+v", static)
+
+	_, rows := readCSV(t, csvPath)
+	if len(rows) != 3 {
+		t.Fatalf("expected 3 CSV rows, got %d", len(rows))
 	}
-	if burst.Shocks != 1 || burst.Recovered != 1 || burst.MeanRecovery <= 0 || burst.PeakDisc < 4096 {
-		t.Fatalf("burst recovery metrics: %+v", burst)
+	if r := rows[0]; r[columns.Schedule] != "" || r[columns.Shocks] != "0" {
+		t.Fatalf("static row polluted: %v", r)
 	}
-	if composed.Shocks != 2 {
-		t.Fatalf("composed schedule should shock twice: %+v", composed)
+	r := rows[1]
+	mean, _ := strconv.ParseFloat(r[columns.ShockRecoveryRoundsMean], 64)
+	peak, _ := strconv.ParseInt(r[columns.ShockPeakDiscrepancyMax], 10, 64)
+	if r[columns.Shocks] != "1" || r[columns.ShocksRecovered] != "1" || mean <= 0 || peak < 4096 {
+		t.Fatalf("burst recovery columns: %v", r)
 	}
-	if report.Aggregates[0].Shocks != 3 {
-		t.Fatalf("aggregate shocks: %+v", report.Aggregates)
+	if rows[2][columns.Shocks] != "2" {
+		t.Fatalf("composed row: %v", rows[2])
+	}
+	groups := summaryRows(t, out.String())
+	if len(groups) != 1 || groups[0]["shocks"] != "3" || groups[0]["cells"] != "3" {
+		t.Fatalf("summary shocks: %v", groups)
 	}
 
 	// Shock markers in the burst spec's trajectory, via the trace reader.
@@ -187,13 +247,11 @@ func TestSweepDynamicSchedules(t *testing.T) {
 // TestSweepScenarioRoundTrip: any flag combination snapshots to a scenario
 // file via -emit-scenario, re-runs bit-identically when loaded back via
 // -scenario, and re-emits byte-identically — the acceptance criterion of the
-// scenario redesign.
+// scenario redesign. The JSON and CSV outputs carry no wall-clock field, so
+// the re-run compares them whole.
 func TestSweepScenarioRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s1 := filepath.Join(dir, "s1.json")
-	s2 := filepath.Join(dir, "s2.json")
-	j1 := filepath.Join(dir, "r1.json")
-	j2 := filepath.Join(dir, "r2.json")
+	path := func(name string) string { return filepath.Join(dir, name) }
 
 	flags := []string{
 		"-graphs", "hypercube:4;random:32,4", // random's default seed must be materialized
@@ -205,46 +263,89 @@ func TestSweepScenarioRoundTrip(t *testing.T) {
 		"-sample", "7",
 	}
 	var out strings.Builder
-	if code := run(append(flags, "-emit-scenario", s1, "-json", j1), &out); code != 0 {
+	if code := run(append(flags, "-emit-scenario", path("s1.json"), "-json", path("r1.json"), "-csv", path("c1.csv")), &out); code != 0 {
 		t.Fatalf("flag run exit %d:\n%s", code, out.String())
 	}
 	var out2 strings.Builder
-	if code := run([]string{"-scenario", s1, "-emit-scenario", s2, "-json", j2}, &out2); code != 0 {
+	if code := run([]string{"-scenario", path("s1.json"), "-emit-scenario", path("s2.json"), "-json", path("r2.json"), "-csv", path("c2.csv")}, &out2); code != 0 {
 		t.Fatalf("scenario run exit %d:\n%s", code, out2.String())
 	}
 
-	b1, err := os.ReadFile(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b1) != string(b2) {
-		t.Fatalf("re-emitted scenario is not byte-identical:\n%s\n---\n%s", b1, b2)
-	}
-	// The emitted file materializes the random graph's default seed.
-	if !strings.Contains(string(b1), "[\n        32,\n        4,\n        1\n      ]") {
-		t.Fatalf("default seed not materialized in scenario:\n%s", b1)
-	}
-
-	// The per-spec rows — including recovery metrics — must be identical;
-	// only the timing header may differ.
-	readRows := func(path string) any {
-		raw, err := os.ReadFile(path)
+	read := func(name string) []byte {
+		data, err := os.ReadFile(path(name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var report map[string]any
-		if err := json.Unmarshal(raw, &report); err != nil {
-			t.Fatal(err)
-		}
-		return []any{report["rows"], report["aggregates"]}
+		return data
 	}
-	r1, r2 := readRows(j1), readRows(j2)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("scenario re-run is not bit-identical to the flag run:\n%v\n%v", r1, r2)
+	if b1, b2 := read("s1.json"), read("s2.json"); !bytes.Equal(b1, b2) {
+		t.Fatalf("re-emitted scenario is not byte-identical:\n%s\n---\n%s", b1, b2)
+	}
+	// The emitted file materializes the random graph's default seed.
+	if b1 := read("s1.json"); !strings.Contains(string(b1), "[\n        32,\n        4,\n        1\n      ]") {
+		t.Fatalf("default seed not materialized in scenario:\n%s", b1)
+	}
+	// The result document — recovery records included — and its CSV
+	// projection must be byte-identical.
+	for _, pair := range [][2]string{{"r1.json", "r2.json"}, {"c1.csv", "c2.csv"}} {
+		if a, b := read(pair[0]), read(pair[1]); !bytes.Equal(a, b) {
+			t.Fatalf("scenario re-run %s is not byte-identical to the flag run's %s:\n%s\n---\n%s", pair[1], pair[0], a, b)
+		}
+	}
+	// The summary's groups match too; only the title's timing may differ.
+	if g1, g2 := summaryRows(t, out.String()), summaryRows(t, out2.String()); len(g1) != 4 || !reflect.DeepEqual(g1, g2) {
+		t.Fatalf("summary differs across the re-run:\n%v\n%v", g1, g2)
+	}
+}
+
+// TestSweepJSONIsResultDoc: -json writes exactly the result document that
+// Family.Fingerprint → Bind → analysis.Sweep → archive.BuildResultDoc
+// produce for the same family — the bytes lbserve archives as result.json —
+// for a shocked and faulted diffusion family and for a protocol family.
+func TestSweepJSONIsResultDoc(t *testing.T) {
+	for name, flags := range map[string][]string{
+		"shocked-faulted": {
+			"-graphs", "random:64,8,1", "-algos", "rotor-router;send-floor", "-workloads", "point:2048",
+			"-schedules", "none;burst:20,0,4096", "-topologies", "none;periodic-fault:15,5,1",
+			"-target", "16", "-rounds", "120", "-sample", "25",
+		},
+		"protocol": {"-preset", "majority-vs-rotor"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			famPath, jsonPath := filepath.Join(dir, "family.json"), filepath.Join(dir, "result.json")
+			var out strings.Builder
+			if code := run(append(flags, "-emit-scenario", famPath, "-json", jsonPath), &out); code != 0 {
+				t.Fatalf("exit %d:\n%s", code, out.String())
+			}
+			fam, err := scenario.LoadFile(famPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest, _, err := fam.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs, cells, err := fam.Bind()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := make([]scenario.CellColumns, len(cells))
+			for i, c := range cells {
+				cols[i] = c.Columns()
+			}
+			want, _, err := archive.BuildResultDoc(fam.Name, digest, cols, specs, analysis.Sweep(specs, analysis.SweepOptions{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("-json is not the result document:\n%s\n---\n%s", got, want)
+			}
+		})
 	}
 }
 

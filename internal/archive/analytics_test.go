@@ -374,6 +374,41 @@ func TestQueryPlain(t *testing.T) {
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows: %d, want 12", len(res.Rows))
 	}
+
+	// Recovery aggregates count only recovered events (recovery_rounds −1
+	// means never): one cell whose events recovered in 10 rounds and never,
+	// one whose only event never recovered.
+	probe := func(recoveries ...int) analysis.RunResult {
+		res := synthResult(0)
+		res.Shocks = nil
+		for _, rec := range recoveries {
+			res.Shocks = append(res.Shocks, analysis.Shock{Round: 8, PeakDiscrepancy: 40, RecoveryRounds: rec})
+			res.Faults = append(res.Faults, analysis.FaultEvent{Round: 8, PeakDiscrepancy: 40, RecoveryRounds: rec})
+		}
+		return res
+	}
+	putSynthEntry(t, arch, "probe-both", "cycle:8", probe(10, -1))
+	putSynthEntry(t, arch, "probe-never", "cycle:8", probe(-1))
+	res, err = ix.Query(mustParse(t, QuerySpec{
+		Where: []string{"name~probe-"},
+		Select: []string{"name,shocks,shocks_recovered,shock_recovery_rounds_max,shock_recovery_rounds_mean," +
+			"faults,faults_recovered,fault_recovery_rounds_max,fault_recovery_rounds_mean"},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]any{
+		"probe-both":  {int64(2), int64(1), int64(10), 10.0, int64(2), int64(1), int64(10), 10.0},
+		"probe-never": {int64(1), int64(0), int64(0), 0.0, int64(1), int64(0), int64(0), 0.0},
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("probe rows: %v", res.Rows)
+	}
+	for _, row := range res.Rows {
+		if w := want[row[0].(string)]; !reflect.DeepEqual(row[1:], w) {
+			t.Errorf("%s: recovery columns %v, want %v", row[0], row[1:], w)
+		}
+	}
 }
 
 // TestQueryGrouped: grouped rows emit in sorted key order with typed
@@ -539,32 +574,45 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// TestRowValueCoverage pins that every registry column is bound in rowValue:
-// a row with every field set to a non-zero value must project a non-zero
-// value of the column's kind for every queryable column.
-func TestRowValueCoverage(t *testing.T) {
-	r := row{
-		digest: "d", name: "nm", cell: 1,
-		graph: "g", graphKind: "gk", algo: "a", algoKind: "ak",
-		workload: "w", workloadKind: "wk", schedule: "s", topology: "t",
-		metric: "m", errMsg: "e",
-		n: 2, degree: 3, selfLoops: 4,
-		gap: 0.5, balancingTime: 6, horizon: 7, rounds: 8,
-		initialDisc: 9, finalDisc: 10, minDisc: 11, targetRound: 12,
-		stoppedEarly: true, reachedTarget: true,
-		shocks: 13, faults: 14, seriesLen: 15,
-		shockRecMax: 16, shockRecMean: 17.5, shockPeakMax: 18,
-		faultRecMax: 19, faultRecMean: 20.5, faultPeakMax: 21,
+// TestColumnTable pins the index's column table to the registry — the same
+// columns in the same order — and binds every reader: a row built from a
+// cell with every field set projects a non-zero value of the column's kind
+// for every queryable column.
+func TestColumnTable(t *testing.T) {
+	regs := columns.Queryable()
+	if len(table) != len(regs) {
+		t.Fatalf("table has %d columns, registry %d", len(table), len(regs))
 	}
-	for _, col := range columns.Queryable() {
-		v := rowValue(&r, col)
+	for i, col := range regs {
+		if table[i].Col != col {
+			t.Errorf("table[%d] = %+v, registry %+v", i, table[i].Col, col)
+		}
+	}
+	r := newRow("d", "nm", 1, scenario.CellColumns{
+		Graph: "g", GraphKind: "gk", Algo: "a", AlgoKind: "ak",
+		Workload: "w", WorkloadKind: "wk", Schedule: "s", Topology: "t",
+	}, CellResult{
+		Metric: "m", Err: "e",
+		N: 2, Degree: 3, SelfLoops: 4,
+		Gap: 0.5, BalancingTime: 6, Horizon: 7, Rounds: 8,
+		InitialDisc: 9, FinalDisc: 10, MinDisc: 11, TargetRound: 12,
+		StoppedEarly: true, ReachedTarget: true,
+		Shocks: []ShockResult{{RecoveryRounds: 16, PeakDiscrepancy: 18}},
+		Faults: []FaultResult{{RecoveryRounds: 19, PeakDiscrepancy: 21}},
+		Series: make([]trace.Sample, 15),
+	})
+	for _, col := range table {
+		v := col.read(&r)
 		if v.kind != col.Kind {
 			t.Errorf("column %s: kind %v, want %v", col.Name, v.kind, col.Kind)
 		}
 		switch rendered := v.render(); rendered {
 		case "", "0", "false":
-			t.Errorf("column %s projected zero value %q — unbound in rowValue?", col.Name, rendered)
+			t.Errorf("column %s projected zero value %q — reader unbound?", col.Name, rendered)
 		}
+	}
+	if r.res.Shocks != nil || r.res.Faults != nil || r.res.Series != nil {
+		t.Error("an indexed row keeps its event lists or series")
 	}
 }
 

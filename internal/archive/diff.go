@@ -74,11 +74,11 @@ var diffSkip = map[string]bool{
 }
 
 // diffColumns are the compared columns, in registry order.
-var diffColumns = func() []columns.Col {
-	var out []columns.Col
-	for _, col := range columns.Queryable() {
-		if !diffSkip[col.Name] {
-			out = append(out, col)
+var diffColumns = func() []*column {
+	var out []*column
+	for i := range table {
+		if !diffSkip[table[i].Name] {
+			out = append(out, &table[i])
 		}
 	}
 	return out
@@ -139,7 +139,7 @@ func cellKeys(rows []row) []string {
 	seen := make(map[string]int, len(rows))
 	for i := range rows {
 		r := &rows[i]
-		k := r.graph + "|" + r.algo + "|" + r.workload + "|" + r.schedule + "|" + r.topology + "|" + r.metric
+		k := r.cols.Graph + "|" + r.cols.Algo + "|" + r.cols.Workload + "|" + r.cols.Schedule + "|" + r.cols.Topology + "|" + r.res.Metric
 		seen[k]++
 		if n := seen[k]; n > 1 {
 			k += "#" + strconv.Itoa(n)
@@ -153,7 +153,7 @@ func cellKeys(rows []row) []string {
 func diffCell(a, b *row) []FieldDelta {
 	var out []FieldDelta
 	for _, col := range diffColumns {
-		va, vb := rowValue(a, col), rowValue(b, col)
+		va, vb := col.read(a), col.read(b)
 		if va.compare(vb) == 0 {
 			continue
 		}

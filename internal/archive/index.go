@@ -30,51 +30,9 @@ type Index struct {
 	rows    map[string][]row
 }
 
-// row is one archived cell flattened to its queryable columns.
-type row struct {
-	digest string
-	name   string
-	cell   int
-
-	graph        string
-	graphKind    string
-	algo         string
-	algoKind     string
-	workload     string
-	workloadKind string
-	schedule     string
-	topology     string
-	metric       string
-	errMsg       string
-
-	n         int
-	degree    int
-	selfLoops int
-
-	gap           float64
-	balancingTime int
-	horizon       int
-	rounds        int
-	initialDisc   int64
-	finalDisc     int64
-	minDisc       int64
-	targetRound   int
-	stoppedEarly  bool
-	reachedTarget bool
-
-	shocks       int
-	faults       int
-	seriesLen    int
-	shockRecMax  int
-	shockRecMean float64
-	shockPeakMax int64
-	faultRecMax  int
-	faultRecMean float64
-	faultPeakMax int64
-}
-
 // NewIndex builds an empty index over src. Rows load lazily on the first
-// query (or eagerly via Refresh).
+// query (or eagerly via Refresh). A nil src makes an index fed only by Add,
+// for querying result documents that were never archived.
 func NewIndex(src Archive) *Index {
 	return &Index{src: src, rows: map[string][]row{}}
 }
@@ -119,6 +77,9 @@ func (ix *Index) Add(digest string, scenarioJSON, resultJSON []byte) error {
 // refreshLocked lists the store and loads every unseen entry. Callers hold
 // ix.mu.
 func (ix *Index) refreshLocked() error {
+	if ix.src == nil {
+		return nil
+	}
 	entries, err := ix.src.List()
 	if err != nil {
 		return err
@@ -179,7 +140,7 @@ func rowsFrom(digest string, scenarioJSON, resultJSON []byte) ([]row, error) {
 	}
 	rows := make([]row, len(cells))
 	for i, cell := range cells {
-		rows[i] = cellRow(digest, fam.Name, i, cell.Columns(), doc.Cells[i])
+		rows[i] = newRow(digest, fam.Name, i, cell.Columns(), doc.Cells[i])
 	}
 	return rows, nil
 }
@@ -195,72 +156,6 @@ func decodeResultDoc(digest string, resultJSON []byte) (*ResultDoc, error) {
 			ErrCorrupt, short(digest), short(doc.Digest))
 	}
 	return &doc, nil
-}
-
-// cellRow flattens one cell to its queryable columns.
-func cellRow(digest, name string, cell int, cols scenario.CellColumns, c CellResult) row {
-	r := row{
-		digest: digest,
-		name:   name,
-		cell:   cell,
-
-		graph:        cols.Graph,
-		graphKind:    cols.GraphKind,
-		algo:         cols.Algo,
-		algoKind:     cols.AlgoKind,
-		workload:     cols.Workload,
-		workloadKind: cols.WorkloadKind,
-		schedule:     cols.Schedule,
-		topology:     cols.Topology,
-		metric:       c.Metric,
-		errMsg:       c.Err,
-
-		n:         c.N,
-		degree:    c.Degree,
-		selfLoops: c.SelfLoops,
-
-		gap:           c.Gap,
-		balancingTime: c.BalancingTime,
-		horizon:       c.Horizon,
-		rounds:        c.Rounds,
-		initialDisc:   c.InitialDisc,
-		finalDisc:     c.FinalDisc,
-		minDisc:       c.MinDisc,
-		targetRound:   c.TargetRound,
-		stoppedEarly:  c.StoppedEarly,
-		reachedTarget: c.ReachedTarget,
-
-		shocks:    len(c.Shocks),
-		faults:    len(c.Faults),
-		seriesLen: len(c.Series),
-	}
-	var recSum int
-	for _, s := range c.Shocks {
-		recSum += s.RecoveryRounds
-		if s.RecoveryRounds > r.shockRecMax {
-			r.shockRecMax = s.RecoveryRounds
-		}
-		if s.PeakDiscrepancy > r.shockPeakMax {
-			r.shockPeakMax = s.PeakDiscrepancy
-		}
-	}
-	if len(c.Shocks) > 0 {
-		r.shockRecMean = float64(recSum) / float64(len(c.Shocks))
-	}
-	recSum = 0
-	for _, f := range c.Faults {
-		recSum += f.RecoveryRounds
-		if f.RecoveryRounds > r.faultRecMax {
-			r.faultRecMax = f.RecoveryRounds
-		}
-		if f.PeakDiscrepancy > r.faultPeakMax {
-			r.faultPeakMax = f.PeakDiscrepancy
-		}
-	}
-	if len(c.Faults) > 0 {
-		r.faultRecMean = float64(recSum) / float64(len(c.Faults))
-	}
-	return r
 }
 
 // short truncates a digest for error messages, tolerating junk input.

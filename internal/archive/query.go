@@ -158,7 +158,7 @@ func parseAgg(s string) (Agg, error) {
 // --- compilation (validation against the column registry) ---
 
 type compiledFilter struct {
-	col columns.Col
+	col *column
 	op  string
 	str string
 	num float64
@@ -166,9 +166,10 @@ type compiledFilter struct {
 
 type compiledQuery struct {
 	where   []compiledFilter
-	sel     []columns.Col // plain mode projection
-	groupBy []columns.Col
+	sel     []*column // plain mode projection
+	groupBy []*column
 	aggs    []Agg
+	aggCols []*column // aggs[i]'s column; nil for count
 	grouped bool
 }
 
@@ -182,7 +183,7 @@ func (q Query) compile() (*compiledQuery, error) {
 		return nil, fmt.Errorf("archive: select cannot be combined with group/agg (the output columns are the group keys plus the aggregates)")
 	}
 	for _, name := range q.GroupBy {
-		col, ok := columns.Lookup(name)
+		col, ok := tableByName[name]
 		if !ok {
 			return nil, fmt.Errorf("archive: unknown group column %q", name)
 		}
@@ -192,33 +193,34 @@ func (q Query) compile() (*compiledQuery, error) {
 	if cq.grouped && len(cq.aggs) == 0 {
 		cq.aggs = []Agg{{Op: "count"}}
 	}
-	for _, a := range cq.aggs {
+	cq.aggCols = make([]*column, len(cq.aggs))
+	for i, a := range cq.aggs {
 		switch a.Op {
 		case "count":
 			if a.Col != "" {
 				return nil, fmt.Errorf("archive: count takes no column (got %q)", a.Col)
 			}
 		case "min", "max", "mean", "sum":
-			col, ok := columns.Lookup(a.Col)
+			col, ok := tableByName[a.Col]
 			if !ok {
 				return nil, fmt.Errorf("archive: unknown aggregate column %q", a.Col)
 			}
 			if col.Kind == columns.String {
 				return nil, fmt.Errorf("archive: %s(%s): cannot aggregate a string column", a.Op, a.Col)
 			}
+			cq.aggCols[i] = col
 		default:
 			return nil, fmt.Errorf("archive: unknown aggregate %q (want count, min, max, mean, or sum)", a.Op)
 		}
 	}
 	if !cq.grouped {
-		names := q.Select
-		if len(names) == 0 {
-			for _, col := range columns.Queryable() {
-				cq.sel = append(cq.sel, col)
+		if len(q.Select) == 0 {
+			for i := range table {
+				cq.sel = append(cq.sel, &table[i])
 			}
 		}
-		for _, name := range names {
-			col, ok := columns.Lookup(name)
+		for _, name := range q.Select {
+			col, ok := tableByName[name]
 			if !ok {
 				return nil, fmt.Errorf("archive: unknown select column %q", name)
 			}
@@ -231,7 +233,7 @@ func (q Query) compile() (*compiledQuery, error) {
 func compileFilters(where []Filter) ([]compiledFilter, error) {
 	var out []compiledFilter
 	for _, f := range where {
-		col, ok := columns.Lookup(f.Col)
+		col, ok := tableByName[f.Col]
 		if !ok {
 			return nil, fmt.Errorf("archive: unknown filter column %q", f.Col)
 		}
@@ -277,7 +279,7 @@ func compileFilters(where []Filter) ([]compiledFilter, error) {
 }
 
 func (cf *compiledFilter) match(r *row) bool {
-	v := rowValue(r, cf.col)
+	v := cf.col.read(r)
 	if cf.col.Kind == columns.String {
 		switch cf.op {
 		case "=":
@@ -359,20 +361,25 @@ func (v value) jsonValue() any {
 	}
 }
 
-// render is the value's deterministic text form (CSV cells, group keys).
+// render is the value's deterministic text form (CSV cells, diff fields).
 func (v value) render() string {
+	if v.kind == columns.String {
+		return v.s
+	}
+	return string(v.appendText(nil))
+}
+
+// appendText appends the text form to b (group keys, without allocating).
+func (v value) appendText(b []byte) []byte {
 	switch v.kind {
 	case columns.String:
-		return v.s
+		return append(b, v.s...)
 	case columns.Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(b, v.i, 10)
 	case columns.Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
 	default:
-		if v.i != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v.i != 0)
 	}
 }
 
@@ -390,87 +397,6 @@ func (v value) compare(o value) int {
 		return 1
 	default:
 		return 0
-	}
-}
-
-// rowValue projects one queryable column out of a row. The switch is the
-// one place the registry's names bind to row fields; TestQueryableColumns
-// pins that every registry column is reachable here.
-func rowValue(r *row, col columns.Col) value {
-	switch col.Name {
-	case columns.Digest:
-		return stringVal(r.digest)
-	case columns.Name:
-		return stringVal(r.name)
-	case columns.Cell:
-		return intVal(int64(r.cell))
-	case columns.Graph:
-		return stringVal(r.graph)
-	case columns.GraphKind:
-		return stringVal(r.graphKind)
-	case columns.Algo:
-		return stringVal(r.algo)
-	case columns.AlgoKind:
-		return stringVal(r.algoKind)
-	case columns.Workload:
-		return stringVal(r.workload)
-	case columns.WorkloadKind:
-		return stringVal(r.workloadKind)
-	case columns.Schedule:
-		return stringVal(r.schedule)
-	case columns.Topology:
-		return stringVal(r.topology)
-	case columns.Metric:
-		return stringVal(r.metric)
-	case columns.Error:
-		return stringVal(r.errMsg)
-	case columns.N:
-		return intVal(int64(r.n))
-	case columns.Degree:
-		return intVal(int64(r.degree))
-	case columns.SelfLoops:
-		return intVal(int64(r.selfLoops))
-	case columns.Gap:
-		return floatVal(r.gap)
-	case columns.BalancingTime:
-		return intVal(int64(r.balancingTime))
-	case columns.Horizon:
-		return intVal(int64(r.horizon))
-	case columns.Rounds:
-		return intVal(int64(r.rounds))
-	case columns.InitialDiscrepancy:
-		return intVal(r.initialDisc)
-	case columns.FinalDiscrepancy:
-		return intVal(r.finalDisc)
-	case columns.MinDiscrepancy:
-		return intVal(r.minDisc)
-	case columns.TargetRound:
-		return intVal(int64(r.targetRound))
-	case columns.StoppedEarly:
-		return boolVal(r.stoppedEarly)
-	case columns.ReachedTarget:
-		return boolVal(r.reachedTarget)
-	case columns.Shocks:
-		return intVal(int64(r.shocks))
-	case columns.Faults:
-		return intVal(int64(r.faults))
-	case columns.SeriesLen:
-		return intVal(int64(r.seriesLen))
-	case columns.ShockRecoveryRoundsMax:
-		return intVal(int64(r.shockRecMax))
-	case columns.ShockRecoveryRoundsMean:
-		return floatVal(r.shockRecMean)
-	case columns.ShockPeakDiscrepancyMax:
-		return intVal(r.shockPeakMax)
-	case columns.FaultRecoveryRoundsMax:
-		return intVal(int64(r.faultRecMax))
-	case columns.FaultRecoveryRoundsMean:
-		return floatVal(r.faultRecMean)
-	case columns.FaultPeakDiscrepancyMax:
-		return intVal(r.faultPeakMax)
-	default:
-		// Unreachable: compile validated the column against the registry.
-		return stringVal("")
 	}
 }
 
@@ -508,7 +434,7 @@ func (ix *Index) evalPlainLocked(cq *compiledQuery) *Result {
 			}
 			vals := make([]any, len(cq.sel))
 			for j, col := range cq.sel {
-				vals[j] = rowValue(&rows[i], col).jsonValue()
+				vals[j] = col.read(&rows[i]).jsonValue()
 			}
 			res.Rows = append(res.Rows, vals)
 		}
@@ -534,10 +460,10 @@ func (a *aggState) observe(x float64) {
 	a.sum += x
 }
 
-// emit renders the aggregate value; integral columns keep integral
+// emit renders the aggregate value over col; integral columns keep integral
 // min/max/sum, mean is always a float, and an aggregate over zero cells is
 // null (count alone is 0).
-func (a *aggState) emit(agg Agg) any {
+func (a *aggState) emit(agg Agg, col *column) any {
 	if agg.Op == "count" {
 		return a.count
 	}
@@ -555,7 +481,7 @@ func (a *aggState) emit(agg Agg) any {
 	default: // mean
 		return a.sum / float64(a.count)
 	}
-	if col, ok := columns.Lookup(agg.Col); ok && col.Kind != columns.Float {
+	if col.Kind != columns.Float {
 		return int64(x)
 	}
 	return x
@@ -580,6 +506,7 @@ func (ix *Index) evalGroupedLocked(cq *compiledQuery) *Result {
 		// Global aggregation: exactly one output row, even over zero cells.
 		groups[""] = &groupState{aggs: make([]aggState, len(cq.aggs))}
 	}
+	var key []byte
 	for _, d := range ix.digests {
 		rows := ix.rows[d]
 		for i := range rows {
@@ -587,25 +514,27 @@ func (ix *Index) evalGroupedLocked(cq *compiledQuery) *Result {
 			if !matchAll(cq.where, r) {
 				continue
 			}
-			keys := make([]value, len(cq.groupBy))
-			var sb strings.Builder
-			for j, col := range cq.groupBy {
-				keys[j] = rowValue(r, col)
-				sb.WriteString(keys[j].render())
-				sb.WriteByte(0x1f)
+			// The key buffer is reused across rows; a group's key tuple is
+			// only materialized when the group is first seen.
+			key = key[:0]
+			for _, col := range cq.groupBy {
+				key = col.read(r).appendText(key)
+				key = append(key, 0x1f)
 			}
-			g, ok := groups[sb.String()]
+			g, ok := groups[string(key)]
 			if !ok {
-				g = &groupState{keys: keys, aggs: make([]aggState, len(cq.aggs))}
-				groups[sb.String()] = g
+				g = &groupState{keys: make([]value, len(cq.groupBy)), aggs: make([]aggState, len(cq.aggs))}
+				for j, col := range cq.groupBy {
+					g.keys[j] = col.read(r)
+				}
+				groups[string(key)] = g
 			}
-			for j, a := range cq.aggs {
-				if a.Op == "count" {
+			for j, col := range cq.aggCols {
+				if col == nil {
 					g.aggs[j].count++
 					continue
 				}
-				col, _ := columns.Lookup(a.Col)
-				g.aggs[j].observe(rowValue(r, col).num())
+				g.aggs[j].observe(col.read(r).num())
 			}
 		}
 	}
@@ -636,7 +565,7 @@ func (ix *Index) evalGroupedLocked(cq *compiledQuery) *Result {
 			vals = append(vals, k.jsonValue())
 		}
 		for j := range g.aggs {
-			vals = append(vals, g.aggs[j].emit(cq.aggs[j]))
+			vals = append(vals, g.aggs[j].emit(cq.aggs[j], cq.aggCols[j]))
 		}
 		res.Rows = append(res.Rows, vals)
 	}

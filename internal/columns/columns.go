@@ -87,10 +87,15 @@ const (
 	// SeriesLen is the sampled-trajectory length (the series itself is not
 	// projectable — it is a nested record, not a scalar column).
 	SeriesLen = "series_len"
-	// Shock/fault recovery aggregates over the cell's event lists.
+	// Shock/fault aggregates over the cell's event lists. Only recovered
+	// events (recovery_rounds ≥ 0; −1 in the document means never) enter
+	// the recovered counts and the recovery maxima and means; the peak
+	// maxima cover every event.
+	ShocksRecovered         = "shocks_recovered"
 	ShockRecoveryRoundsMax  = "shock_recovery_rounds_max"
 	ShockRecoveryRoundsMean = "shock_recovery_rounds_mean"
 	ShockPeakDiscrepancyMax = "shock_peak_discrepancy_max"
+	FaultsRecovered         = "faults_recovered"
 	FaultRecoveryRoundsMax  = "fault_recovery_rounds_max"
 	FaultRecoveryRoundsMean = "fault_recovery_rounds_mean"
 	FaultPeakDiscrepancyMax = "fault_peak_discrepancy_max"
@@ -169,11 +174,13 @@ var queryable = []Col{
 	{Shocks, Int, "number of dynamic-workload shock events"},
 	{Faults, Int, "number of topology fault events"},
 	{SeriesLen, Int, "sampled-trajectory length"},
-	{ShockRecoveryRoundsMax, Int, "slowest shock recovery (rounds)"},
-	{ShockRecoveryRoundsMean, Float, "mean shock recovery (rounds; 0 when no shocks)"},
+	{ShocksRecovered, Int, "shock events that recovered to the target"},
+	{ShockRecoveryRoundsMax, Int, "slowest recovered shock (rounds; 0 when none recovered)"},
+	{ShockRecoveryRoundsMean, Float, "mean over recovered shocks (rounds; 0 when none recovered)"},
 	{ShockPeakDiscrepancyMax, Int, "worst post-shock discrepancy peak"},
-	{FaultRecoveryRoundsMax, Int, "slowest fault recovery (rounds)"},
-	{FaultRecoveryRoundsMean, Float, "mean fault recovery (rounds; 0 when no faults)"},
+	{FaultsRecovered, Int, "fault events that recovered to the target"},
+	{FaultRecoveryRoundsMax, Int, "slowest recovered fault (rounds; 0 when none recovered)"},
+	{FaultRecoveryRoundsMean, Float, "mean over recovered faults (rounds; 0 when none recovered)"},
 	{FaultPeakDiscrepancyMax, Int, "worst post-fault discrepancy peak"},
 }
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"detlb/internal/archive"
-	"detlb/internal/columns"
 )
 
 // handleArchiveList lists complete archive entries. Without filters it
@@ -59,21 +58,10 @@ func (s *Server) handleArchiveList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, entries)
 }
 
-// archiveColumn is the wire form of one queryable column.
-type archiveColumn struct {
-	Name string `json:"name,omitempty"`
-	Kind string `json:"kind,omitempty"`
-	Doc  string `json:"doc,omitempty"`
-}
-
 // handleArchiveColumns serves the queryable column table, so clients can
 // discover the grammar without shipping the registry.
 func (s *Server) handleArchiveColumns(w http.ResponseWriter, _ *http.Request) {
-	var out []archiveColumn
-	for _, col := range columns.Queryable() {
-		out = append(out, archiveColumn{Name: col.Name, Kind: col.Kind.String(), Doc: col.Doc})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, archive.ColumnTable())
 }
 
 // handleArchiveQuery evaluates the shared query grammar over the index:

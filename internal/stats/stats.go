@@ -1,11 +1,10 @@
 // Package stats provides the small numeric helpers the experiment harness
-// reports with (means, extrema, quantiles, linear fits for scaling checks).
+// reports with (means, and log-log fits for scaling checks).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean, or 0 for empty input.
@@ -18,59 +17,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Min returns the minimum, or +Inf for empty input.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		m = math.Min(m, x)
-	}
-	return m
-}
-
-// Max returns the maximum, or -Inf for empty input.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		m = math.Max(m, x)
-	}
-	return m
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation on the
-// sorted copy of xs; it panics on empty input or out-of-range q.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v out of [0,1]", q))
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // LogLogSlope fits y ≈ c·x^α by least squares on (ln x, ln y) and returns
