@@ -146,8 +146,8 @@ func run() int {
 
 	mu := spectral.Gap(b)
 	k := core.Discrepancy(x1)
-	fmt.Printf("graph=%s d=%d d°=%d d⁺=%d µ=%.4g diam=%d\n",
-		g.Name(), g.Degree(), b.SelfLoops(), b.DegreePlus(), mu, g.Diameter())
+	fmt.Printf("graph=%s d=%d d°=%d d⁺=%d µ=%.4g\n",
+		g.Name(), g.Degree(), b.SelfLoops(), b.DegreePlus(), mu)
 	fmt.Printf("algo=%s workload K=%d total=%d\n", algo.Name(), k, workload.Total(x1))
 
 	var fair *core.CumulativeFairnessAuditor

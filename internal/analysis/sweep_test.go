@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -251,4 +252,36 @@ func ExampleSweep() {
 	// Output:
 	// true
 	// true
+}
+
+// TestGapBitIdenticalAcrossWorkersRunVsSweep: µ comes from a serial,
+// fixed-seed solve, so it is the same float at every engine worker count
+// and through Run or Sweep. Each spec gets its own graph instance, so every
+// gap is solved afresh rather than read from the per-graph memo.
+func TestGapBitIdenticalAcrossWorkersRunVsSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	spec := func(workers int) RunSpec {
+		b := graph.Lazy(graph.RandomRegular(256, 8, 5))
+		return RunSpec{
+			Balancing: b,
+			Algorithm: balancer.NewRotorRouter(),
+			Initial:   workload.PointMass(b.N(), 0, 4096),
+			MaxRounds: 20,
+			Workers:   workers,
+		}
+	}
+	var want float64
+	for i, w := range []int{0, 1, 2, 8} {
+		run := Run(spec(w))
+		swept := Sweep([]RunSpec{spec(w)}, SweepOptions{Workers: 2})[0]
+		if run.Err != nil || swept.Err != nil {
+			t.Fatalf("workers=%d: %v / %v", w, run.Err, swept.Err)
+		}
+		if i == 0 {
+			want = run.Gap
+		}
+		if math.Float64bits(run.Gap) != math.Float64bits(want) || math.Float64bits(swept.Gap) != math.Float64bits(want) {
+			t.Fatalf("workers=%d: Run µ = %.17g, Sweep µ = %.17g, want %.17g", w, run.Gap, swept.Gap, want)
+		}
+	}
 }

@@ -49,7 +49,7 @@ var (
 )
 
 // PutOutcome classifies a successful Archive.Put: a new entry, or a
-// byte-identical re-execution of an existing one. Failure modes (mismatch,
+// re-execution that verified an existing one. Failure modes (mismatch,
 // I/O) are errors, distinguished with errors.Is(err, ErrMismatch).
 type PutOutcome int
 
@@ -59,6 +59,10 @@ const (
 	// PutVerified: the entry existed and the new result is bit-identical to
 	// the archived one — the re-run reproduced the archived trajectory.
 	PutVerified
+	// PutVerifiedV1: the entry existed as a version-1 document and the new
+	// result verified it under the version-1 rule (verifyV1). The archived
+	// bytes, which differ from the new ones, stay the entry's result.
+	PutVerifiedV1
 )
 
 // Archive is the store's consumer-facing surface. Store implements it over
@@ -140,7 +144,11 @@ func validDigest(s string) bool {
 // fingerprint (scenario.Family.Fingerprint). An existing entry is never
 // overwritten: a byte-identical result verifies it, a differing result is
 // an error wrapping ErrMismatch — the regression signal, distinguishable
-// from plain I/O failure with errors.Is.
+// from plain I/O failure with errors.Is. The one exception to byte
+// equality is an archived version-1 document, which verifies when it
+// differs from the new one only in version and in gaps that agree under
+// the version-1 rule (see verifyV1); its bytes stay on disk unchanged, and
+// Put reports PutVerifiedV1.
 func (a *Store) Put(digest string, scenarioJSON, resultJSON []byte) (PutOutcome, error) {
 	if !validDigest(digest) {
 		return 0, fmt.Errorf("archive: invalid digest %q", digest)
@@ -153,9 +161,13 @@ func (a *Store) Put(digest string, scenarioJSON, resultJSON []byte) (PutOutcome,
 			a.cacheMetaLocked(digest, scenarioJSON)
 			return PutVerified, nil
 		}
-		return 0, fmt.Errorf(
-			"%w: %s — the code no longer reproduces the archived trajectory",
-			ErrMismatch, digest[:12])
+		if err := verifyV1(existing, resultJSON); err != nil {
+			return 0, fmt.Errorf(
+				"%w: %s — the code no longer reproduces the archived trajectory (%v)",
+				ErrMismatch, digest[:12], err)
+		}
+		a.cacheMetaLocked(digest, scenarioJSON)
+		return PutVerifiedV1, nil
 	} else if !os.IsNotExist(err) {
 		return 0, fmt.Errorf("archive: %w", err)
 	}

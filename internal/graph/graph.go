@@ -67,8 +67,8 @@ type Graph struct {
 	// nu2 is the analytically known second-largest eigenvalue of the
 	// normalized adjacency matrix A/d, when the family constructor can supply
 	// it (cycles, tori, hypercubes, ...). The spectral package prefers it
-	// over power iteration, which converges too slowly on poorly expanding
-	// graphs to be practical.
+	// over its Lanczos solve, which needs O(1/√gap) matrix-vector products
+	// and so is slow on poorly expanding graphs.
 	nu2    float64
 	hasNu2 bool
 }

@@ -88,6 +88,10 @@ type graphEntry struct {
 	// build constructs the graph; family constructors panic on invalid
 	// parameters, which Bind converts to errors.
 	build func(a []int64, offsets []int) *graph.Graph
+	// solves reports that the built graph records no analytic ν₂, so its
+	// spectral gap takes a Lanczos solve (K_{1,1}, a two-node exception, is
+	// left out: its solve is trivial).
+	solves bool
 }
 
 var graphRegistry = map[string]graphEntry{
@@ -141,6 +145,7 @@ var graphRegistry = map[string]graphEntry{
 		build: func(a []int64, _ []int) *graph.Graph {
 			return graph.RandomRegular(int(a[0]), int(a[1]), a[2])
 		},
+		solves: true,
 	},
 	"petersen": {
 		nodes:  func([]int64) int { return 10 },
@@ -154,6 +159,7 @@ var graphRegistry = map[string]graphEntry{
 		build: func(a []int64, _ []int) *graph.Graph {
 			return graph.GeneralizedPetersen(int(a[0]), int(a[1]))
 		},
+		solves: true,
 	},
 	"kbipartite": {
 		args:   []argDef{opt("k", 8)},
@@ -222,6 +228,19 @@ func (s GraphSpec) Arcs() (int64, error) {
 		return math.MaxInt64, nil
 	}
 	return n * d, nil
+}
+
+// Solves reports, without constructing the graph, whether its spectral gap
+// takes a Lanczos solve — the graph has no closed-form ν₂. A solve's memory
+// is spectral.SolveWords(n), which admission control (the serving layer)
+// caps alongside Arcs. Fault topologies solve every graph's masks, whatever
+// this reports.
+func (s GraphSpec) Solves() (bool, error) {
+	s, err := normalizeGraph(s)
+	if err != nil {
+		return false, err
+	}
+	return graphRegistry[s.Kind].solves, nil
 }
 
 // BindGraph constructs the described graph G.

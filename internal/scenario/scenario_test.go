@@ -523,6 +523,7 @@ func TestGraphSpecNodes(t *testing.T) {
 		{"complete:9", 9}, {"petersen", 10}, {"gp:7,2", 14},
 		{"kbipartite:4", 8}, {"circulant:16,1+3", 16}, {"random:32,4,2", 32},
 	}
+	kinds := map[string]bool{}
 	for _, c := range cases {
 		g, err := ParseGraph(c.spec)
 		if err != nil {
@@ -539,6 +540,16 @@ func TestGraphSpecNodes(t *testing.T) {
 		if b.N() != c.n {
 			t.Errorf("%s: bound n = %d, want %d", c.spec, b.N(), c.n)
 		}
+		// Solves is sizing metadata too: it must say whether the built
+		// graph lacks an analytic ν₂.
+		solves, err := g.Solves()
+		if _, hint := b.Graph().Nu2(); err != nil || solves == hint {
+			t.Errorf("%s: Solves() = %v (%v), but analytic ν₂ recorded = %v", c.spec, solves, err, hint)
+		}
+		kinds[g.Kind] = true
+	}
+	if len(kinds) != len(graphRegistry) {
+		t.Errorf("cases cover %d of %d graph kinds", len(kinds), len(graphRegistry))
 	}
 }
 

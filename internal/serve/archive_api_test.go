@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -213,5 +218,57 @@ func TestArchiveDiffEndpoint(t *testing.T) {
 	}
 	if code, _, _ = get(t, ts.URL+"/v1/archive/diff?a="+digests[0]+"&b="+strings.Repeat("0", 64)); code != http.StatusNotFound {
 		t.Fatalf("unknown digest: %d, want 404", code)
+	}
+}
+
+// TestV1EntryReplayIndexesArchivedBytes: re-executing an archived
+// version-1 entry verifies it within the v1 gap bound, and the index then
+// holds the archived v1 gaps — what a restarted server reads from disk —
+// not the re-execution's, so queries agree across the restart.
+func TestV1EntryReplayIndexesArchivedBytes(t *testing.T) {
+	golden := filepath.Join("..", "archive", "testdata", "golden-v1")
+	scenarioJSON, err := os.ReadFile(filepath.Join(golden, archive.ScenarioFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultJSON, err := os.ReadFile(filepath.Join(golden, archive.ResultFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(scenarioJSON)
+	digest := hex.EncodeToString(sum[:])
+	dir := t.TempDir()
+	arch, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arch.Put(digest, scenarioJSON, resultJSON); err != nil {
+		t.Fatal(err)
+	}
+
+	const query = "/v1/archive/query?select=digest,gap&format=csv"
+	_, ts := newTestServer(t, Config{ArchiveDir: dir, CacheMode: CacheOff})
+	run := postBytes(t, ts.URL, scenarioJSON)
+	code, body := waitResult(t, ts.URL, run.ID)
+	if code != http.StatusOK {
+		t.Fatalf("v1 replay: %d: %s", code, body)
+	}
+	// The run's result is the archive's, as a cache hit would serve it.
+	if !bytes.Equal(body, resultJSON) {
+		t.Fatalf("v1 replay served the re-execution, not the archived bytes:\n%s", body)
+	}
+	var got RunSummary
+	getJSON(t, ts.URL+"/v1/runs/"+run.ID, &got)
+	if got.Archive != "verified" {
+		t.Fatalf("v1 replay archive outcome %q, want verified", got.Archive)
+	}
+	_, _, before := get(t, ts.URL+query)
+	if !strings.Contains(string(before), "0.20237539852607345") {
+		t.Fatalf("index lost the archived v1 gap:\n%s", before)
+	}
+
+	_, restarted := newTestServer(t, Config{ArchiveDir: dir})
+	if _, _, after := get(t, restarted.URL+query); string(after) != string(before) {
+		t.Fatalf("query differs across the restart:\n%s\nvs\n%s", before, after)
 	}
 }

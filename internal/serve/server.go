@@ -42,6 +42,7 @@ import (
 	"detlb/internal/analysis"
 	"detlb/internal/archive"
 	"detlb/internal/scenario"
+	"detlb/internal/spectral"
 )
 
 // Config configures a Server. The zero value serves with defaults and no
@@ -60,8 +61,11 @@ type Config struct {
 	MaxRetainedRuns int
 	// MaxGraphArcs caps each accepted graph descriptor's estimated directed
 	// arc count n·d (engine memory is proportional to it) so a small hostile
-	// body — cycle:2e9, complete:100000 — is a 400, not a daemon OOM.
-	// 0 means 1<<26 (~64M arcs).
+	// body — cycle:2e9, complete:100000 — is a 400, not a daemon OOM. A
+	// graph whose gap takes a spectral solve (no closed-form ν₂, or any
+	// fault topology) is also held to it in float64 words of solver memory,
+	// spectral.SolveWords(n) — about 129·n, so random:520218,8,1 is the
+	// largest random graph admitted by default. 0 means 1<<26 (~64M arcs).
 	MaxGraphArcs int64
 	// MaxCells caps an accepted scenario's expanded cross-product size.
 	// 0 means 4096.
@@ -693,11 +697,16 @@ func (s *Server) handleArchiveFile(file string) http.HandlerFunc {
 }
 
 // admit enforces the server's size caps on a normalized family's descriptors
-// — estimated per-graph arcs and expanded cell count — without constructing
-// anything.
+// — estimated per-graph arcs and spectral-solve memory, and expanded cell
+// count — without constructing anything.
 func (s *Server) admit(fam *scenario.Family) error {
 	if err := fam.Normalize(); err != nil {
 		return err
+	}
+	// Every fault mask's gap is solved, whatever the graph.
+	faulted := false
+	for _, spec := range fam.Topologies {
+		faulted = faulted || len(spec) > 0
 	}
 	for _, g := range fam.Graphs {
 		arcs, err := g.Arcs()
@@ -707,6 +716,22 @@ func (s *Server) admit(fam *scenario.Family) error {
 		if arcs > s.cfg.MaxGraphArcs {
 			return fmt.Errorf("graph %s: ~%d arcs exceeds this server's limit of %d",
 				g.String(), arcs, s.cfg.MaxGraphArcs)
+		}
+		// A Lanczos solve holds about n·128 words, far more than the n·d
+		// arcs of a sparse graph, so the same cap bounds it separately.
+		solves, err := g.Solves()
+		if err != nil {
+			return err
+		}
+		if solves || faulted {
+			n, err := g.Nodes()
+			if err != nil {
+				return err
+			}
+			if words := spectral.SolveWords(n); words > s.cfg.MaxGraphArcs {
+				return fmt.Errorf("graph %s: its spectral gap solve holds ~%d words, over this server's limit of %d",
+					g.String(), words, s.cfg.MaxGraphArcs)
+			}
 		}
 	}
 	// Multiply with an early bail so absurd list lengths cannot overflow
@@ -811,6 +836,17 @@ func (s *Server) execute(run *run) {
 		switch outcome, err := s.archive.Put(run.digest, run.canonical, resultJSON); {
 		case err == nil && outcome == archive.PutCreated:
 			archived = "created"
+		case err == nil && outcome == archive.PutVerifiedV1:
+			// A verified entry of an older result version keeps its own bytes
+			// (docs/archive.md); the run serves and indexes those, as cache
+			// hits and a restarted server would.
+			archived = "verified"
+			if resultJSON, err = s.archive.GetResult(run.digest); err != nil {
+				run.finish(StatusFailed, nil, failures, "", err.Error())
+				s.metrics.runsFailed.Inc()
+				s.log.Printf("run %s: archive read failed: %v", run.id, err)
+				return
+			}
 		case err == nil:
 			archived = "verified"
 		case errors.Is(err, archive.ErrMismatch):

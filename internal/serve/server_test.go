@@ -18,6 +18,7 @@ import (
 	"detlb/internal/analysis"
 	"detlb/internal/archive"
 	"detlb/internal/scenario"
+	"detlb/internal/spectral"
 	"detlb/internal/trace"
 )
 
@@ -161,7 +162,7 @@ func TestRunLifecycleAndResult(t *testing.T) {
 	if err := json.Unmarshal(doc, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 1 || res.Digest != sum.Digest || len(res.Cells) != 2 {
+	if res.Version != archive.ResultVersion || res.Digest != sum.Digest || len(res.Cells) != 2 {
 		t.Fatalf("result doc: version=%d digest=%s cells=%d", res.Version, res.Digest, len(res.Cells))
 	}
 	if res.Cells[1].Schedule != "burst:3,0,256" || len(res.Cells[1].Shocks) != 1 {
@@ -842,6 +843,54 @@ func TestPostAfterCloseRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("POST after Close: %d", resp.StatusCode)
+	}
+}
+
+// TestAdmissionCapsSolverMemory: a graph whose gap takes a spectral solve is
+// admitted only if the solve's memory, spectral.SolveWords(n) — what the
+// solver allocates (spectral's TestSolveMemoryWithinSolveWords) — fits the
+// arc cap, so a small body cannot make the solve OOM the daemon. Graphs with
+// a closed-form gap are sized by their arcs alone unless they carry faults.
+func TestAdmissionCapsSolverMemory(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	limit := srv.cfg.MaxGraphArcs
+	for _, c := range []struct {
+		graph, topology string
+		ok              bool
+	}{
+		{"random:520218,8,1", "none", true}, // the largest random graph at the default cap
+		{"random:520219,8,1", "none", false},
+		{"random:8000000,8,1", "none", false},
+		{"gp:260109,1", "none", true},
+		{"gp:260110,1", "none", false},
+		{"gp:4000000,1", "none", false},
+		{"torus:4096,2", "none", true}, // 2^26 arcs, closed-form gap
+		{"torus:4096,2", "faillink:5,0,1", false},
+		{"hypercube:19", "periodic-fault:15,5,1", false},
+		{"hypercube:18", "periodic-fault:15,5,1", true},
+	} {
+		fam, err := scenario.ParseFamily(c.graph, "send-floor", "point", "none", c.topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = srv.admit(fam)
+		if (err == nil) != c.ok {
+			t.Errorf("%s under %s: admit = %v, want admitted %v", c.graph, c.topology, err, c.ok)
+			continue
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "spectral gap solve") {
+				t.Errorf("%s under %s: rejected for %v, want the solve's memory", c.graph, c.topology, err)
+			}
+			continue
+		}
+		n, err := fam.Graphs[0].Nodes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solves, _ := fam.Graphs[0].Solves(); (solves || c.topology != "none") && spectral.SolveWords(n) > limit {
+			t.Errorf("%s under %s: admitted a solve of %d words over the %d cap", c.graph, c.topology, spectral.SolveWords(n), limit)
+		}
 	}
 }
 

@@ -158,9 +158,15 @@ func ProbabilityCurrent(b *graph.Balancing, a int) float64 {
 // SpectrumDense returns all eigenvalues of the (symmetric) transition matrix
 // of the balancing graph, in descending order, via the Jacobi rotation
 // method. Regular graphs give symmetric P, so the spectrum is real. O(n³)
-// per sweep; for the small n used in analysis validation only.
+// per sweep; for the small n used in analysis validation only — and as the
+// ground truth the Lanczos solver is tested against.
 func SpectrumDense(b *graph.Balancing) []float64 {
-	a := DenseTransition(b)
+	return symmetricSpectrum(DenseTransition(b))
+}
+
+// symmetricSpectrum returns the eigenvalues of the symmetric matrix a in
+// descending order by Jacobi rotations, overwriting a.
+func symmetricSpectrum(a *Dense) []float64 {
 	n := a.N
 	// Symmetrize defensively against float noise (P is symmetric in exact
 	// arithmetic for regular graphs).

@@ -87,43 +87,30 @@ func TestLambda2AnalyticHypercube(t *testing.T) {
 	}
 }
 
-func TestLambda2PowerIterationMatchesAnalytic(t *testing.T) {
-	// Strip the analytic hint off structured graphs and compare the power
-	// iteration against the closed form.
-	for _, tc := range []struct {
-		make func() *graph.Graph
-	}{
-		{func() *graph.Graph { return graph.Cycle(12) }},
-		{func() *graph.Graph { return graph.Hypercube(4) }},
-		{func() *graph.Graph { return graph.Complete(9) }},
-		{func() *graph.Graph { return graph.Petersen() }},
+func TestLambda2SolverMatchesAnalytic(t *testing.T) {
+	// Strip the analytic hint off structured graphs and compare the Lanczos
+	// solve against the closed form.
+	for _, g := range []*graph.Graph{
+		graph.Cycle(12),
+		graph.Hypercube(4),
+		graph.Complete(9),
+		graph.Petersen(),
 	} {
-		g := tc.make()
-		b := graph.Lazy(g)
-		want := Lambda2(b)
-		// Rebuild the same adjacency without hints.
-		adj := make([][]int, g.N())
-		for u := 0; u < g.N(); u++ {
-			adj[u] = append([]int(nil), g.Neighbors(u)...)
-		}
-		plain, err := graph.New("plain", adj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := Lambda2(graph.Lazy(plain))
-		if !almostEqual(got, want, 1e-6) {
-			t.Fatalf("%s: power iteration λ₂ = %v, analytic %v", g.Name(), got, want)
+		want := Lambda2(graph.Lazy(g))
+		got := Lambda2(graph.Lazy(plain(t, g)))
+		if !almostEqual(got, want, denseTol) {
+			t.Fatalf("%s: solved λ₂ = %v, analytic %v", g.Name(), got, want)
 		}
 	}
 }
 
 func TestLambda2NonLazyNegativeSpectrum(t *testing.T) {
 	// K_{k,k} without self-loops has spectrum {1, 0…, −1}: the second
-	// largest eigenvalue by value is 0, and the shifted iteration must not
-	// report |−1| = 1.
-	b := graph.WithLoops(graph.CompleteBipartite(4), 0)
+	// largest eigenvalue by value is 0, and the solver must not report
+	// |−1| = 1.
+	b := graph.WithLoops(plain(t, graph.CompleteBipartite(4)), 0)
 	got := Lambda2(b)
-	if !almostEqual(got, 0, 1e-6) {
+	if !almostEqual(got, 0, denseTol) {
 		t.Fatalf("λ₂ = %v, want 0", got)
 	}
 }

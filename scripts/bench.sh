@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # bench.sh — run the engine micro-benchmarks and record the perf trajectory.
 #
-# Records seven files (by default at the repo root; -o redirects them, so CI
+# Records eight files (by default at the repo root; -o redirects them, so CI
 # runners never need a writable checkout):
 #
-#   BENCH_step.json    — the BenchmarkStep* hot-path benchmarks plus the
-#                        spectral power iteration;
+#   BENCH_step.json    — the BenchmarkStep* hot-path benchmarks plus an
+#                        uncached spectral solve on a 256-node expander;
 #   BENCH_sweep.json   — the BenchmarkSweep100* harness benchmarks (concurrent
 #                        sweep vs the serial analysis.Run loop, warm and cold
 #                        gap cache), whose runs/sec and allocs/op columns are
@@ -25,7 +25,10 @@
 #   BENCH_archive.json — the BenchmarkArchiveQuery* archive analytics
 #                        benchmarks (filtered projection, grouped recovery
 #                        aggregation, and CSV encoding over a 1000-cell
-#                        warmed index).
+#                        warmed index);
+#   BENCH_spectral.json — the BenchmarkSpectralCold* spectral-layer
+#                        benchmarks (one uncached gap solve on
+#                        random:1024,8,1 and random:4096,8,1).
 #
 # Each run uses -benchmem -count=$COUNT. The "baseline" section of an
 # existing output file is preserved across runs so future PRs always compare
@@ -129,6 +132,9 @@ fi
 
 record 'BenchmarkStep|BenchmarkSpectralGap' BENCH_step.json \
   "ns_op_min is the noise-robust statistic on shared machines; baseline is the pre-refactor engine (see CHANGES.md)"
+
+record 'BenchmarkSpectralCold' BENCH_spectral.json \
+  "spectral-layer numbers: one uncached gap solve (SpectralGapFresh) on the lazy random:n,8,1 expander, n = 1024 (the largest cold-serve expander) and 4096; baseline is the shifted power iteration the Lanczos solver replaced."
 
 record 'BenchmarkSweep100' BENCH_sweep.json \
   "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (engines reused, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap isolates engine reuse + scheduling. allocs_op is per 100 runs."

@@ -25,7 +25,7 @@ BASE_DIR="${2:-$(cd "$(dirname "$0")/.." && pwd)}"
 command -v jq >/dev/null || { echo "bench_compare.sh: jq is required" >&2; exit 1; }
 
 fail=0
-for f in BENCH_step.json BENCH_sweep.json BENCH_dynamic.json BENCH_topology.json BENCH_protocol.json BENCH_archive.json; do
+for f in BENCH_step.json BENCH_sweep.json BENCH_dynamic.json BENCH_topology.json BENCH_protocol.json BENCH_archive.json BENCH_spectral.json; do
   base="$BASE_DIR/$f" new="$NEW_DIR/$f"
   if [[ ! -f "$base" ]]; then
     echo "FAIL $f: baseline file missing ($base)" >&2
