@@ -283,12 +283,11 @@ type (
 	WorkloadSpec = scenario.WorkloadSpec
 	// ScheduleSpec describes a composed dynamic-load schedule.
 	ScheduleSpec = scenario.ScheduleSpec
-	// SchedulePart is one component of a ScheduleSpec.
-	SchedulePart = scenario.SchedulePart
 	// TopologySpec describes a composed fault-injection schedule.
 	TopologySpec = scenario.TopologySpec
-	// TopologyPart is one component of a TopologySpec.
-	TopologyPart = scenario.TopologyPart
+	// ScenarioPart is one component (kind + args) of a ScheduleSpec or a
+	// TopologySpec.
+	ScenarioPart = scenario.Part
 	// RunParams are the harness parameters of a described run.
 	RunParams = scenario.RunParams
 )
@@ -333,13 +332,8 @@ type (
 	ServedRun = serve.RunSummary
 )
 
-var (
-	// NewServer builds the serving layer.
-	NewServer = serve.New
-	// OpenRunArchive opens (creating) a content-addressed result archive.
-	// Kept as a thin alias of archive.Open for pre-analytics callers.
-	OpenRunArchive = archive.Open
-)
+// NewServer builds the serving layer.
+var NewServer = serve.New
 
 // Archive analytics (internal/archive): the content-addressed result store
 // promoted to a first-class package, with a queryable index over archived

@@ -20,9 +20,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is the full-size experiment configuration.
-func DefaultConfig() Config { return Config{Seed: 1} }
-
 // table1Graphs returns the graph suite for E1, scaled by cfg.Quick.
 func table1Graphs(cfg Config) []*graph.Balancing {
 	if cfg.Quick {

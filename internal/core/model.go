@@ -87,13 +87,3 @@ type Metric interface {
 	// function of the vector.
 	Measure(state []int64) int64
 }
-
-// DiscrepancyMetric is the diffusion metric, max load − min load — the
-// measure every pre-model result already carries, expressed as a Metric.
-type DiscrepancyMetric struct{}
-
-// Name returns "discrepancy".
-func (DiscrepancyMetric) Name() string { return "discrepancy" }
-
-// Measure returns max(state) − min(state).
-func (DiscrepancyMetric) Measure(state []int64) int64 { return Discrepancy(state) }

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -194,4 +197,69 @@ func fuzzTopology(t *testing.T, text string) {
 	if err1 == nil && !reflect.DeepEqual(e1, e2) {
 		t.Fatalf("bound topologies differ: %#v vs %#v", e1, e2)
 	}
+}
+
+// FuzzFamilyJSON drives the untrusted-body path of the serving layer: for
+// any bytes Load accepts, the loaded family is already normalized
+// (Normalize is idempotent on it), its canonical bytes load back to the
+// same canonical bytes and fingerprint, and it expands to exactly its
+// cross-product size, an empty schedule or topology list counting as one.
+// Seeded from the preset goldens; CI runs it under -fuzz next to
+// FuzzScenario.
+func FuzzFamilyJSON(f *testing.F) {
+	goldens, err := filepath.Glob("testdata/preset-*.json")
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no preset goldens to seed from (%v)", err)
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fam, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// A second, independent load normalized once more must not move.
+		again, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("second load of accepted bytes: %v", err)
+		}
+		if err := again.Normalize(); err != nil {
+			t.Fatalf("re-normalizing a loaded family: %v", err)
+		}
+		if !reflect.DeepEqual(fam, again) {
+			t.Fatalf("Normalize is not idempotent:\n%#v\n%#v", fam, again)
+		}
+		digest, canonical, err := fam.Fingerprint()
+		if err != nil {
+			t.Fatalf("fingerprint of a loaded family: %v", err)
+		}
+		reloaded, err := Load(bytes.NewReader(canonical))
+		if err != nil {
+			t.Fatalf("canonical bytes do not load: %v\n%s", err, canonical)
+		}
+		digest2, canonical2, err := reloaded.Fingerprint()
+		if err != nil {
+			t.Fatalf("fingerprint of the reloaded family: %v", err)
+		}
+		if !bytes.Equal(canonical, canonical2) || digest != digest2 {
+			t.Fatalf("Canonical → Load → Canonical moved (%s → %s):\n%s\n%s", digest, digest2, canonical, canonical2)
+		}
+		// Expand only families small enough to materialize; the product is
+		// bailed early so absurd list lengths cannot overflow it.
+		want := 1
+		for _, k := range []int{len(fam.Graphs), len(fam.Algos), len(fam.Workloads),
+			max(1, len(fam.Schedules)), max(1, len(fam.Topologies))} {
+			if want *= k; want > 1<<12 {
+				return
+			}
+		}
+		if got := len(fam.Scenarios()); got != want {
+			t.Fatalf("family expands to %d cells, want the cross product %d", got, want)
+		}
+	})
 }

@@ -131,16 +131,8 @@ func ParseAlgo(spec string) (AlgoSpec, error) {
 //	point:TOTAL | uniform:EACH | bimodal:LO,HI | random:MAX[,SEED] |
 //	ramp:BASE,STEP | opinions[:A] | tokens[:COUNT,SEED]
 func ParseWorkload(spec string) (WorkloadSpec, error) {
-	kind, tokens := splitSpec(spec)
-	e, ok := workloadRegistry[kind]
-	if !ok {
-		return WorkloadSpec{}, fmt.Errorf("unknown workload %q", kind)
-	}
-	args, err := parseArgs("workload "+kind, tokens, e.args)
-	if err != nil {
-		return WorkloadSpec{}, err
-	}
-	return normalizeWorkload(WorkloadSpec{Kind: kind, Args: args})
+	p, err := workloadKinds.parse(spec)
+	return WorkloadSpec(p), err
 }
 
 // ParseSchedule parses a dynamic-workload schedule spec:
@@ -152,26 +144,7 @@ func ParseWorkload(spec string) (WorkloadSpec, error) {
 // Parts joined with "+" compose into one schedule applied in order; "none"
 // (or the empty string) is the empty (static) descriptor. Node-range and
 // can-never-fire validation happen at bind time, when n is known.
-func ParseSchedule(spec string) (ScheduleSpec, error) {
-	var out ScheduleSpec
-	for _, part := range strings.Split(spec, "+") {
-		part = strings.TrimSpace(part)
-		if part == "" || part == "none" {
-			continue
-		}
-		kind, tokens := splitSpec(part)
-		e, ok := scheduleRegistry[kind]
-		if !ok {
-			return nil, fmt.Errorf("unknown schedule %q", kind)
-		}
-		args, err := parseArgs("schedule "+kind, tokens, e.args)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchedulePart{Kind: kind, Args: args})
-	}
-	return normalizeSchedule(out)
-}
+func ParseSchedule(spec string) (ScheduleSpec, error) { return scheduleKinds.parseList(spec) }
 
 // ParseTopology parses a fault-injection topology spec:
 //
@@ -183,26 +156,7 @@ func ParseSchedule(spec string) (ScheduleSpec, error) {
 // Parts joined with "+" overlay into one schedule; "none" (or the empty
 // string) is the empty (pristine) descriptor. Node-range and can-never-fire
 // validation happen at bind time, when n is known.
-func ParseTopology(spec string) (TopologySpec, error) {
-	var out TopologySpec
-	for _, part := range strings.Split(spec, "+") {
-		part = strings.TrimSpace(part)
-		if part == "" || part == "none" {
-			continue
-		}
-		kind, tokens := splitSpec(part)
-		e, ok := topologyRegistry[kind]
-		if !ok {
-			return nil, fmt.Errorf("unknown topology %q", kind)
-		}
-		args, err := parseArgs("topology "+kind, tokens, e.args)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TopologyPart{Kind: kind, Args: args})
-	}
-	return normalizeTopology(out)
-}
+func ParseTopology(spec string) (TopologySpec, error) { return topologyKinds.parseList(spec) }
 
 // splitList splits a semicolon-separated spec list, dropping empty entries —
 // the list syntax of the lbsweep flags.

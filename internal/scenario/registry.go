@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"detlb/internal/analysis"
 	"detlb/internal/balancer"
@@ -13,7 +14,7 @@ import (
 	"detlb/internal/workload"
 )
 
-// The constructor registry: one entry per descriptor kind in each of the four
+// The constructor registry: one entry per descriptor kind in each of the five
 // domains, carrying the argument grammar (names, defaults, which are
 // required) and the builder that binds normalized arguments into the live
 // object. Both front-ends — the text mini-language and JSON files — validate
@@ -394,373 +395,380 @@ func (s AlgoSpec) Bind(b *graph.Balancing) (spec analysis.RunSpec, err error) {
 	return spec, nil
 }
 
-// workloadEntry describes one initial-load generator.
-type workloadEntry struct {
-	args  []argDef
-	build func(a []int64, n int) []int64
-}
-
-var workloadRegistry = map[string]workloadEntry{
-	"point": {
-		// The default total 8n depends on the graph, so it stays dynamic.
-		args: []argDef{dyn("total")},
-		build: func(a []int64, n int) []int64 {
-			total := int64(8 * n)
-			if len(a) > 0 {
-				total = a[0]
-			}
-			return workload.PointMass(n, 0, total)
-		},
-	},
-	"uniform": {
-		args:  []argDef{opt("each", 8)},
-		build: func(a []int64, n int) []int64 { return workload.Uniform(n, a[0]) },
-	},
-	"bimodal": {
-		args:  []argDef{opt("lo", 0), opt("hi", 64)},
-		build: func(a []int64, n int) []int64 { return workload.Bimodal(n, a[0], a[1]) },
-	},
-	"random": {
-		args:  []argDef{opt("max", 64), opt("seed", 1)},
-		build: func(a []int64, n int) []int64 { return workload.Random(n, a[0], a[1]) },
-	},
-	"ramp": {
-		args:  []argDef{opt("base", 0), opt("step", 1)},
-		build: func(a []int64, n int) []int64 { return workload.Ramp(n, a[0], a[1]) },
-	},
-	"opinions": {
-		// The default — a one-vote strong majority — depends on n, so it
-		// stays dynamic like point's total.
-		args: []argDef{dyn("a")},
-		build: func(a []int64, n int) []int64 {
-			count := int64(n/2 + 1)
-			if len(a) > 0 {
-				count = a[0]
-			}
-			return workload.Opinions(n, count)
-		},
-	},
-	"tokens": {
-		args:  []argDef{opt("count", 3), opt("seed", 1)},
-		build: func(a []int64, n int) []int64 { return workload.Tokens(n, a[0], a[1]) },
-	},
-}
-
-func normalizeWorkload(s WorkloadSpec) (WorkloadSpec, error) {
-	e, ok := workloadRegistry[s.Kind]
-	if !ok {
-		return s, fmt.Errorf("unknown workload %q", s.Kind)
-	}
-	args, err := normalizeArgs("workload "+s.Kind, s.Args, e.args)
-	if err != nil {
-		return s, err
-	}
-	s.Args = args
-	return s, nil
-}
-
-// Bind generates the initial load vector for an n-node graph.
-func (s WorkloadSpec) Bind(n int) (x []int64, err error) {
-	s, err = normalizeWorkload(s)
-	if err != nil {
-		return nil, err
-	}
-	defer recoverTo(&err, "workload "+s.String())
-	return workloadRegistry[s.Kind].build(s.Args, n), nil
-}
-
-// scheduleEntry describes one dynamic-workload shock shape.
-type scheduleEntry struct {
+// kindEntry is one descriptor kind of a part dimension — an initial-load
+// generator, a shock shape, or a fault shape: its argument grammar and the
+// builder that binds normalized arguments against an n-node graph.
+type kindEntry[T any] struct {
 	args []argDef
-	// build validates the part against the n-node graph and constructs the
-	// schedule. A part that can never fire (bad cadence, negative round,
-	// empty window) is almost certainly a typo'd experiment: it is rejected
-	// instead of silently producing a static run labeled as dynamic.
-	build func(a []int64, n int) (workload.Schedule, error)
+	// build validates the arguments against the n-node graph and constructs
+	// the part. A schedule or topology part that can never fire (bad
+	// cadence, negative round, empty window, degenerate boundary) is almost
+	// certainly a typo'd experiment: it is rejected instead of silently
+	// producing a static or pristine run labeled as dynamic. Constructors
+	// that validate by panicking are contained by the table.
+	build func(a []int64, n int) (T, error)
 }
 
-var scheduleRegistry = map[string]scheduleEntry{
-	"burst": {
-		args: []argDef{req("round"), req("node"), req("amount")},
-		build: func(a []int64, n int) (workload.Schedule, error) {
-			if err := checkScheduleNode("burst", a[1], n); err != nil {
-				return nil, err
-			}
-			if a[0] < 0 || a[2] == 0 {
-				return nil, cantFire("burst", "negative round or zero amount")
-			}
-			return workload.Burst{Round: int(a[0]), Node: int(a[1]), Amount: a[2]}, nil
-		},
-	},
-	"drain": {
-		args: []argDef{req("from"), req("to"), req("pernode")},
-		build: func(a []int64, n int) (workload.Schedule, error) {
-			if a[1] < a[0] || a[2] <= 0 {
-				return nil, cantFire("drain", "empty window or non-positive per-node amount")
-			}
-			return workload.Drain{From: int(a[0]), To: int(a[1]), PerNode: a[2]}, nil
-		},
-	},
-	"periodic": {
-		args: []argDef{req("every"), req("node"), req("amount")},
-		build: func(a []int64, n int) (workload.Schedule, error) {
-			if err := checkScheduleNode("periodic", a[1], n); err != nil {
-				return nil, err
-			}
-			if a[0] <= 0 || a[2] == 0 {
-				return nil, cantFire("periodic", "non-positive cadence or zero amount")
-			}
-			return workload.Periodic{Every: int(a[0]), Node: int(a[1]), Amount: a[2]}, nil
-		},
-	},
-	"churn": {
-		args: []argDef{req("every"), req("amount"), opt("seed", 1)},
-		build: func(a []int64, n int) (workload.Schedule, error) {
-			if a[0] <= 0 || a[1] <= 0 {
-				return nil, cantFire("churn", "non-positive cadence or amount")
-			}
-			return workload.Churn{Every: int(a[0]), Amount: a[1], Seed: uint64(a[2])}, nil
-		},
-	},
-	"refill": {
-		args: []argDef{req("round"), req("amount"), opt("every", 0)},
-		build: func(a []int64, n int) (workload.Schedule, error) {
-			if a[0] < 0 || a[2] < 0 || a[1] == 0 {
-				return nil, cantFire("refill", "negative round or cadence, or zero amount")
-			}
-			return workload.Refill{Round: int(a[0]), Amount: a[1], Every: int(a[2])}, nil
-		},
-	},
+// kindTable is the constructor registry of one part dimension. The workload,
+// schedule and topology dimensions share its parse, normalize and bind path;
+// graphs and algorithms keep their own, because they carry more than a kind
+// and arguments (circulant offsets, self-loops, the model tag).
+type kindTable[T any] struct {
+	// dim names the dimension in error messages.
+	dim   string
+	kinds map[string]kindEntry[T]
+	// compose joins the parts of a multi-part composition (nil for the
+	// single-part workload dimension).
+	compose func([]T) T
 }
 
-func cantFire(kind, why string) error {
-	return fmt.Errorf("schedule %q can never fire: %s", kind, why)
+func (t kindTable[T]) entry(kind string) (kindEntry[T], error) {
+	e, ok := t.kinds[kind]
+	if !ok {
+		return e, fmt.Errorf("unknown %s %q", t.dim, kind)
+	}
+	return e, nil
 }
 
-func checkScheduleNode(kind string, node int64, n int) error {
+// parse parses one "kind:a,b" part of the text grammar into a normalized
+// Part.
+func (t kindTable[T]) parse(spec string) (Part, error) {
+	kind, tokens := splitSpec(spec)
+	e, err := t.entry(kind)
+	if err != nil {
+		return Part{}, err
+	}
+	args, err := parseArgs(t.dim+" "+kind, tokens, e.args)
+	if err != nil {
+		return Part{}, err
+	}
+	return t.normalize(Part{Kind: kind, Args: args})
+}
+
+// normalize validates p against its kind's grammar, materializing defaults.
+func (t kindTable[T]) normalize(p Part) (Part, error) {
+	e, err := t.entry(p.Kind)
+	if err != nil {
+		return Part{}, err
+	}
+	args, err := normalizeArgs(t.dim+" "+p.Kind, p.Args, e.args)
+	if err != nil {
+		return Part{}, err
+	}
+	return Part{Kind: p.Kind, Args: args}, nil
+}
+
+// build constructs a normalized part against an n-node graph.
+func (t kindTable[T]) build(p Part, n int) (v T, err error) {
+	defer recoverTo(&err, t.dim+" "+p.String())
+	return t.kinds[p.Kind].build(p.Args, n)
+}
+
+// parseList parses a "+"-joined composition; "none" and empty parts are
+// skipped, so every spelling of the empty composition parses to it.
+func (t kindTable[T]) parseList(spec string) ([]Part, error) {
+	out := []Part{}
+	for _, part := range strings.Split(spec, "+") {
+		part = strings.TrimSpace(part)
+		if part == "" || part == "none" {
+			continue
+		}
+		p, err := t.parse(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
+}
+
+// normalizeList normalizes every part of a composition. The empty
+// composition normalizes to an empty but non-nil list, so it serializes as
+// [] rather than null.
+func (t kindTable[T]) normalizeList(ps []Part) ([]Part, error) {
+	out := make([]Part, len(ps))
+	for i, p := range ps {
+		var err error
+		if out[i], err = t.normalize(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// bindList validates a composition against an n-node graph and constructs
+// it: the zero T (nil) for the empty composition, the bare part for a
+// single part, compose of the parts otherwise. Every part is normalized
+// before any is built.
+func (t kindTable[T]) bindList(ps []Part, n int) (T, error) {
+	var zero T
+	ps, err := t.normalizeList(ps)
+	if err != nil {
+		return zero, err
+	}
+	parts := make([]T, len(ps))
+	for i, p := range ps {
+		if parts[i], err = t.build(p, n); err != nil {
+			return zero, err
+		}
+	}
+	switch len(parts) {
+	case 0:
+		return zero, nil
+	case 1:
+		return parts[0], nil
+	default:
+		return t.compose(parts), nil
+	}
+}
+
+// cantFire rejects a dim part that can never fire.
+func cantFire(dim, kind, why string) error {
+	return fmt.Errorf("%s %q can never fire: %s", dim, kind, why)
+}
+
+// checkNode rejects a dim part addressing a node outside an n-node graph.
+func checkNode(dim, kind string, node int64, n int) error {
 	if node < 0 || node >= int64(n) {
-		return fmt.Errorf("schedule %q: node %d out of range [0,%d)", kind, node, n)
+		return fmt.Errorf("%s %q: node %d out of range [0,%d)", dim, kind, node, n)
 	}
 	return nil
 }
 
-func normalizeSchedule(s ScheduleSpec) (ScheduleSpec, error) {
-	if len(s) == 0 {
-		// Normalized static schedules are empty but non-nil, so they
-		// serialize as [] rather than null.
-		return ScheduleSpec{}, nil
+var workloadKinds = kindTable[[]int64]{
+	dim: "workload",
+	kinds: map[string]kindEntry[[]int64]{
+		"point": {
+			// The default total 8n depends on the graph, so it stays dynamic.
+			args: []argDef{dyn("total")},
+			build: func(a []int64, n int) ([]int64, error) {
+				total := int64(8 * n)
+				if len(a) > 0 {
+					total = a[0]
+				}
+				return workload.PointMass(n, 0, total), nil
+			},
+		},
+		"uniform": {
+			args:  []argDef{opt("each", 8)},
+			build: func(a []int64, n int) ([]int64, error) { return workload.Uniform(n, a[0]), nil },
+		},
+		"bimodal": {
+			args:  []argDef{opt("lo", 0), opt("hi", 64)},
+			build: func(a []int64, n int) ([]int64, error) { return workload.Bimodal(n, a[0], a[1]), nil },
+		},
+		"random": {
+			args:  []argDef{opt("max", 64), opt("seed", 1)},
+			build: func(a []int64, n int) ([]int64, error) { return workload.Random(n, a[0], a[1]), nil },
+		},
+		"ramp": {
+			args:  []argDef{opt("base", 0), opt("step", 1)},
+			build: func(a []int64, n int) ([]int64, error) { return workload.Ramp(n, a[0], a[1]), nil },
+		},
+		"opinions": {
+			// The default — a one-vote strong majority — depends on n, so it
+			// stays dynamic like point's total.
+			args: []argDef{dyn("a")},
+			build: func(a []int64, n int) ([]int64, error) {
+				count := int64(n/2 + 1)
+				if len(a) > 0 {
+					count = a[0]
+				}
+				return workload.Opinions(n, count), nil
+			},
+		},
+		"tokens": {
+			args:  []argDef{opt("count", 3), opt("seed", 1)},
+			build: func(a []int64, n int) ([]int64, error) { return workload.Tokens(n, a[0], a[1]), nil },
+		},
+	},
+}
+
+// Bind generates the initial load vector for an n-node graph.
+func (s WorkloadSpec) Bind(n int) ([]int64, error) {
+	p, err := workloadKinds.normalize(Part(s))
+	if err != nil {
+		return nil, err
 	}
-	out := make(ScheduleSpec, len(s))
-	for i, p := range s {
-		e, ok := scheduleRegistry[p.Kind]
-		if !ok {
-			return nil, fmt.Errorf("unknown schedule %q", p.Kind)
-		}
-		args, err := normalizeArgs("schedule "+p.Kind, p.Args, e.args)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = SchedulePart{Kind: p.Kind, Args: args}
-	}
-	return out, nil
+	return workloadKinds.build(p, n)
+}
+
+var scheduleKinds = kindTable[workload.Schedule]{
+	dim:     "schedule",
+	compose: func(ps []workload.Schedule) workload.Schedule { return workload.Compose(ps) },
+	kinds: map[string]kindEntry[workload.Schedule]{
+		"burst": {
+			args: []argDef{req("round"), req("node"), req("amount")},
+			build: func(a []int64, n int) (workload.Schedule, error) {
+				if err := checkNode("schedule", "burst", a[1], n); err != nil {
+					return nil, err
+				}
+				if a[0] < 0 || a[2] == 0 {
+					return nil, cantFire("schedule", "burst", "negative round or zero amount")
+				}
+				return workload.Burst{Round: int(a[0]), Node: int(a[1]), Amount: a[2]}, nil
+			},
+		},
+		"drain": {
+			args: []argDef{req("from"), req("to"), req("pernode")},
+			build: func(a []int64, n int) (workload.Schedule, error) {
+				if a[1] < a[0] || a[2] <= 0 {
+					return nil, cantFire("schedule", "drain", "empty window or non-positive per-node amount")
+				}
+				return workload.Drain{From: int(a[0]), To: int(a[1]), PerNode: a[2]}, nil
+			},
+		},
+		"periodic": {
+			args: []argDef{req("every"), req("node"), req("amount")},
+			build: func(a []int64, n int) (workload.Schedule, error) {
+				if err := checkNode("schedule", "periodic", a[1], n); err != nil {
+					return nil, err
+				}
+				if a[0] <= 0 || a[2] == 0 {
+					return nil, cantFire("schedule", "periodic", "non-positive cadence or zero amount")
+				}
+				return workload.Periodic{Every: int(a[0]), Node: int(a[1]), Amount: a[2]}, nil
+			},
+		},
+		"churn": {
+			args: []argDef{req("every"), req("amount"), opt("seed", 1)},
+			build: func(a []int64, n int) (workload.Schedule, error) {
+				if a[0] <= 0 || a[1] <= 0 {
+					return nil, cantFire("schedule", "churn", "non-positive cadence or amount")
+				}
+				return workload.Churn{Every: int(a[0]), Amount: a[1], Seed: uint64(a[2])}, nil
+			},
+		},
+		"refill": {
+			args: []argDef{req("round"), req("amount"), opt("every", 0)},
+			build: func(a []int64, n int) (workload.Schedule, error) {
+				if a[0] < 0 || a[2] < 0 || a[1] == 0 {
+					return nil, cantFire("schedule", "refill", "negative round or cadence, or zero amount")
+				}
+				return workload.Refill{Round: int(a[0]), Amount: a[1], Every: int(a[2])}, nil
+			},
+		},
+	},
 }
 
 // Bind validates the schedule against an n-node graph and constructs it: nil
 // for a static run, the bare part for a single-part spec, a workload.Compose
 // for a composition.
-func (s ScheduleSpec) Bind(n int) (workload.Schedule, error) {
-	s, err := normalizeSchedule(s)
-	if err != nil {
-		return nil, err
-	}
-	var composed workload.Compose
-	for _, p := range s {
-		one, err := scheduleRegistry[p.Kind].build(p.Args, n)
-		if err != nil {
-			return nil, err
-		}
-		composed = append(composed, one)
-	}
-	switch len(composed) {
-	case 0:
-		return nil, nil
-	case 1:
-		return composed[0], nil
-	default:
-		return composed, nil
-	}
-}
+func (s ScheduleSpec) Bind(n int) (workload.Schedule, error) { return scheduleKinds.bindList(s, n) }
 
-// topologyEntry describes one fault-injection schedule shape.
-type topologyEntry struct {
-	args []argDef
-	// build validates the part against the n-node graph and constructs the
-	// schedule. Like the workload schedules, a part that can never fire (bad
-	// cadence, out-of-range node, degenerate boundary) is rejected instead of
-	// silently producing a pristine run labeled as faulted.
-	build func(a []int64, n int) (topology.Schedule, error)
-}
-
-var topologyRegistry = map[string]topologyEntry{
-	"faillink": {
-		args: []argDef{req("round"), req("u"), req("v")},
-		build: func(a []int64, n int) (topology.Schedule, error) {
-			if err := checkTopologyLink("faillink", a[0], a[1], a[2], n); err != nil {
-				return nil, err
-			}
-			return topology.FailLinks{Round: int(a[0]), Links: [][2]int{{int(a[1]), int(a[2])}}}, nil
+var topologyKinds = kindTable[topology.Schedule]{
+	dim:     "topology",
+	compose: func(ps []topology.Schedule) topology.Schedule { return topology.Compose(ps) },
+	kinds: map[string]kindEntry[topology.Schedule]{
+		"faillink": {
+			args: []argDef{req("round"), req("u"), req("v")},
+			build: func(a []int64, n int) (topology.Schedule, error) {
+				if err := checkLink("faillink", a[0], a[1], a[2], n); err != nil {
+					return nil, err
+				}
+				return topology.FailLinks{Round: int(a[0]), Links: [][2]int{{int(a[1]), int(a[2])}}}, nil
+			},
 		},
-	},
-	"restorelink": {
-		args: []argDef{req("round"), req("u"), req("v")},
-		build: func(a []int64, n int) (topology.Schedule, error) {
-			if err := checkTopologyLink("restorelink", a[0], a[1], a[2], n); err != nil {
-				return nil, err
-			}
-			return topology.RestoreLinks{Round: int(a[0]), Links: [][2]int{{int(a[1]), int(a[2])}}}, nil
+		"restorelink": {
+			args: []argDef{req("round"), req("u"), req("v")},
+			build: func(a []int64, n int) (topology.Schedule, error) {
+				if err := checkLink("restorelink", a[0], a[1], a[2], n); err != nil {
+					return nil, err
+				}
+				return topology.RestoreLinks{Round: int(a[0]), Links: [][2]int{{int(a[1]), int(a[2])}}}, nil
+			},
 		},
-	},
-	"failnode": {
-		args: []argDef{req("round"), req("node"), opt("redistribute", 0)},
-		build: func(a []int64, n int) (topology.Schedule, error) {
-			if err := checkTopologyNode("failnode", a[1], n); err != nil {
-				return nil, err
-			}
-			if a[0] < 0 {
-				return nil, cantFireTopology("failnode", "negative round")
-			}
-			if a[2] != 0 && a[2] != 1 {
-				return nil, fmt.Errorf("topology \"failnode\": redistribute must be 0 or 1, got %d", a[2])
-			}
-			return topology.FailNodes{Round: int(a[0]), Nodes: []int{int(a[1])}, Redistribute: a[2] == 1}, nil
+		"failnode": {
+			args: []argDef{req("round"), req("node"), opt("redistribute", 0)},
+			build: func(a []int64, n int) (topology.Schedule, error) {
+				if err := checkNode("topology", "failnode", a[1], n); err != nil {
+					return nil, err
+				}
+				if a[0] < 0 {
+					return nil, cantFire("topology", "failnode", "negative round")
+				}
+				if a[2] != 0 && a[2] != 1 {
+					return nil, fmt.Errorf("topology \"failnode\": redistribute must be 0 or 1, got %d", a[2])
+				}
+				return topology.FailNodes{Round: int(a[0]), Nodes: []int{int(a[1])}, Redistribute: a[2] == 1}, nil
+			},
 		},
-	},
-	"restorenode": {
-		args: []argDef{req("round"), req("node")},
-		build: func(a []int64, n int) (topology.Schedule, error) {
-			if err := checkTopologyNode("restorenode", a[1], n); err != nil {
-				return nil, err
-			}
-			if a[0] < 0 {
-				return nil, cantFireTopology("restorenode", "negative round")
-			}
-			return topology.RestoreNodes{Round: int(a[0]), Nodes: []int{int(a[1])}}, nil
+		"restorenode": {
+			args: []argDef{req("round"), req("node")},
+			build: func(a []int64, n int) (topology.Schedule, error) {
+				if err := checkNode("topology", "restorenode", a[1], n); err != nil {
+					return nil, err
+				}
+				if a[0] < 0 {
+					return nil, cantFire("topology", "restorenode", "negative round")
+				}
+				return topology.RestoreNodes{Round: int(a[0]), Nodes: []int{int(a[1])}}, nil
+			},
 		},
-	},
-	"flap": {
-		args: []argDef{req("u"), req("v"), req("from"), req("period"), opt("duty", 0)},
-		build: func(a []int64, n int) (topology.Schedule, error) {
-			if err := checkTopologyNode("flap", a[0], n); err != nil {
-				return nil, err
-			}
-			if err := checkTopologyNode("flap", a[1], n); err != nil {
-				return nil, err
-			}
-			if a[2] < 0 || a[3] <= 0 {
-				return nil, cantFireTopology("flap", "negative start or non-positive period")
-			}
-			if a[4] < 0 || a[4] >= a[3] {
-				return nil, fmt.Errorf("topology \"flap\": duty %d outside [0,%d) (0 = half the period)", a[4], a[3])
-			}
-			return topology.Flap{
-				Link: [2]int{int(a[0]), int(a[1])}, From: int(a[2]), Period: int(a[3]), Duty: int(a[4]),
-			}, nil
+		"flap": {
+			args: []argDef{req("u"), req("v"), req("from"), req("period"), opt("duty", 0)},
+			build: func(a []int64, n int) (topology.Schedule, error) {
+				if err := checkNode("topology", "flap", a[0], n); err != nil {
+					return nil, err
+				}
+				if err := checkNode("topology", "flap", a[1], n); err != nil {
+					return nil, err
+				}
+				if a[2] < 0 || a[3] <= 0 {
+					return nil, cantFire("topology", "flap", "negative start or non-positive period")
+				}
+				if a[4] < 0 || a[4] >= a[3] {
+					return nil, fmt.Errorf("topology \"flap\": duty %d outside [0,%d) (0 = half the period)", a[4], a[3])
+				}
+				return topology.Flap{
+					Link: [2]int{int(a[0]), int(a[1])}, From: int(a[2]), Period: int(a[3]), Duty: int(a[4]),
+				}, nil
+			},
 		},
-	},
-	"partition": {
-		args: []argDef{req("round"), req("boundary"), opt("heal", 0)},
-		build: func(a []int64, n int) (topology.Schedule, error) {
-			if a[0] < 0 {
-				return nil, cantFireTopology("partition", "negative round")
-			}
-			if a[1] <= 0 || a[1] >= int64(n) {
-				return nil, fmt.Errorf("topology \"partition\": boundary %d outside (0,%d)", a[1], n)
-			}
-			if a[2] != 0 && a[2] <= a[0] {
-				return nil, cantFireTopology("partition", "heal round not after the cut")
-			}
-			return topology.Partition{Round: int(a[0]), Boundary: int(a[1]), Heal: int(a[2])}, nil
+		"partition": {
+			args: []argDef{req("round"), req("boundary"), opt("heal", 0)},
+			build: func(a []int64, n int) (topology.Schedule, error) {
+				if a[0] < 0 {
+					return nil, cantFire("topology", "partition", "negative round")
+				}
+				if a[1] <= 0 || a[1] >= int64(n) {
+					return nil, fmt.Errorf("topology \"partition\": boundary %d outside (0,%d)", a[1], n)
+				}
+				if a[2] != 0 && a[2] <= a[0] {
+					return nil, cantFire("topology", "partition", "heal round not after the cut")
+				}
+				return topology.Partition{Round: int(a[0]), Boundary: int(a[1]), Heal: int(a[2])}, nil
+			},
 		},
-	},
-	"periodic-fault": {
-		args: []argDef{req("every"), req("down"), opt("seed", 1)},
-		build: func(a []int64, n int) (topology.Schedule, error) {
-			if a[0] <= 0 || a[1] <= 0 {
-				return nil, cantFireTopology("periodic-fault", "non-positive cadence or downtime")
-			}
-			return topology.Periodic{Every: int(a[0]), Down: int(a[1]), Seed: uint64(a[2])}, nil
+		"periodic-fault": {
+			args: []argDef{req("every"), req("down"), opt("seed", 1)},
+			build: func(a []int64, n int) (topology.Schedule, error) {
+				if a[0] <= 0 || a[1] <= 0 {
+					return nil, cantFire("topology", "periodic-fault", "non-positive cadence or downtime")
+				}
+				return topology.Periodic{Every: int(a[0]), Down: int(a[1]), Seed: uint64(a[2])}, nil
+			},
 		},
 	},
 }
 
-func cantFireTopology(kind, why string) error {
-	return fmt.Errorf("topology %q can never fire: %s", kind, why)
-}
-
-func checkTopologyNode(kind string, node int64, n int) error {
-	if node < 0 || node >= int64(n) {
-		return fmt.Errorf("topology %q: node %d out of range [0,%d)", kind, node, n)
-	}
-	return nil
-}
-
-func checkTopologyLink(kind string, round, u, v int64, n int) error {
+// checkLink rejects a link-fault part with a negative round or an endpoint
+// outside an n-node graph.
+func checkLink(kind string, round, u, v int64, n int) error {
 	if round < 0 {
-		return cantFireTopology(kind, "negative round")
+		return cantFire("topology", kind, "negative round")
 	}
-	if err := checkTopologyNode(kind, u, n); err != nil {
+	if err := checkNode("topology", kind, u, n); err != nil {
 		return err
 	}
-	return checkTopologyNode(kind, v, n)
-}
-
-func normalizeTopology(s TopologySpec) (TopologySpec, error) {
-	if len(s) == 0 {
-		// Normalized pristine topologies are empty but non-nil, so they
-		// serialize as [] rather than null, matching normalizeSchedule.
-		return TopologySpec{}, nil
-	}
-	out := make(TopologySpec, len(s))
-	for i, p := range s {
-		e, ok := topologyRegistry[p.Kind]
-		if !ok {
-			return nil, fmt.Errorf("unknown topology %q", p.Kind)
-		}
-		args, err := normalizeArgs("topology "+p.Kind, p.Args, e.args)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = TopologyPart{Kind: p.Kind, Args: args}
-	}
-	return out, nil
+	return checkNode("topology", kind, v, n)
 }
 
 // Bind validates the topology schedule against an n-node graph and constructs
 // it: nil for a pristine run, the bare part for a single-part spec, a
 // topology.Compose for a composition (parts overlay; the engine's
 // failure-wins ordering resolves same-round conflicts).
-func (s TopologySpec) Bind(n int) (topology.Schedule, error) {
-	s, err := normalizeTopology(s)
-	if err != nil {
-		return nil, err
-	}
-	var composed topology.Compose
-	for _, p := range s {
-		one, err := topologyRegistry[p.Kind].build(p.Args, n)
-		if err != nil {
-			return nil, err
-		}
-		composed = append(composed, one)
-	}
-	switch len(composed) {
-	case 0:
-		return nil, nil
-	case 1:
-		return composed[0], nil
-	default:
-		return composed, nil
-	}
-}
+func (s TopologySpec) Bind(n int) (topology.Schedule, error) { return topologyKinds.bindList(s, n) }
 
 // BindScenarios binds a list of scenario cells into RunSpecs, sharing one
 // balancing graph per distinct graph descriptor, one algorithm instance (or

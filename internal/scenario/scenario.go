@@ -75,26 +75,21 @@ type WorkloadSpec struct {
 	Args []int64 `json:"args,omitempty"`
 }
 
-// SchedulePart is one component of a dynamic-workload schedule.
-type SchedulePart struct {
+// Part is one component of a schedule or topology composition: a kind and
+// its integer arguments in grammar order, like a WorkloadSpec.
+type Part struct {
 	Kind string  `json:"kind"`
 	Args []int64 `json:"args,omitempty"`
 }
 
-// ScheduleSpec is a composition of schedule parts applied in order; empty
-// means a static run (the "none" of the text grammar).
-type ScheduleSpec []SchedulePart
+// ScheduleSpec is a composition of dynamic-workload schedule parts applied in
+// order; empty means a static run (the "none" of the text grammar).
+type ScheduleSpec []Part
 
-// TopologyPart is one component of a fault-injection schedule — the
-// structural counterpart of SchedulePart.
-type TopologyPart struct {
-	Kind string  `json:"kind"`
-	Args []int64 `json:"args,omitempty"`
-}
-
-// TopologySpec is a composition of topology parts overlaid into one fault
-// schedule; empty means a pristine run (the "none" of the text grammar).
-type TopologySpec []TopologyPart
+// TopologySpec is a composition of fault-injection parts overlaid into one
+// fault schedule; empty means a pristine run (the "none" of the text
+// grammar).
+type TopologySpec []Part
 
 // RunParams are the harness parameters of a run — the RunSpec fields that are
 // not component descriptors. The zero value means "paper defaults": horizon
@@ -161,19 +156,19 @@ func (s *Scenario) Normalize() error {
 	if err != nil {
 		return err
 	}
-	w, err := normalizeWorkload(s.Workload)
+	w, err := workloadKinds.normalize(Part(s.Workload))
 	if err != nil {
 		return err
 	}
-	sch, err := normalizeSchedule(s.Schedule)
+	sch, err := scheduleKinds.normalizeList(s.Schedule)
 	if err != nil {
 		return err
 	}
-	top, err := normalizeTopology(s.Topology)
+	top, err := topologyKinds.normalizeList(s.Topology)
 	if err != nil {
 		return err
 	}
-	s.Graph, s.Algo, s.Workload, s.Schedule, s.Topology = g, a, w, sch, top
+	s.Graph, s.Algo, s.Workload, s.Schedule, s.Topology = g, a, WorkloadSpec(w), sch, top
 	return nil
 }
 
@@ -229,21 +224,21 @@ func (f *Family) Normalize() error {
 		f.Algos[i] = a
 	}
 	for i := range f.Workloads {
-		w, err := normalizeWorkload(f.Workloads[i])
+		w, err := workloadKinds.normalize(Part(f.Workloads[i]))
 		if err != nil {
 			return err
 		}
-		f.Workloads[i] = w
+		f.Workloads[i] = WorkloadSpec(w)
 	}
 	for i := range f.Schedules {
-		s, err := normalizeSchedule(f.Schedules[i])
+		s, err := scheduleKinds.normalizeList(f.Schedules[i])
 		if err != nil {
 			return err
 		}
 		f.Schedules[i] = s
 	}
 	for i := range f.Topologies {
-		t, err := normalizeTopology(f.Topologies[i])
+		t, err := topologyKinds.normalizeList(f.Topologies[i])
 		if err != nil {
 			return err
 		}
@@ -414,30 +409,20 @@ func (s AlgoSpec) String() string { return renderKindArgs(s.Kind, s.Args) }
 func (s WorkloadSpec) String() string { return renderKindArgs(s.Kind, s.Args) }
 
 // String renders the canonical text-grammar spec, e.g. "burst:20,0,4096".
-func (p SchedulePart) String() string { return renderKindArgs(p.Kind, p.Args) }
+func (p Part) String() string { return renderKindArgs(p.Kind, p.Args) }
 
 // String renders the "+"-joined composition, or "none" for a static run.
-func (s ScheduleSpec) String() string {
-	if len(s) == 0 {
-		return "none"
-	}
-	parts := make([]string, len(s))
-	for i, p := range s {
-		parts[i] = p.String()
-	}
-	return strings.Join(parts, "+")
-}
-
-// String renders the canonical text-grammar spec, e.g. "partition:30,16,70".
-func (p TopologyPart) String() string { return renderKindArgs(p.Kind, p.Args) }
+func (s ScheduleSpec) String() string { return joinParts(s) }
 
 // String renders the "+"-joined composition, or "none" for a pristine run.
-func (s TopologySpec) String() string {
-	if len(s) == 0 {
+func (s TopologySpec) String() string { return joinParts(s) }
+
+func joinParts(ps []Part) string {
+	if len(ps) == 0 {
 		return "none"
 	}
-	parts := make([]string, len(s))
-	for i, p := range s {
+	parts := make([]string, len(ps))
+	for i, p := range ps {
 		parts[i] = p.String()
 	}
 	return strings.Join(parts, "+")

@@ -10,62 +10,100 @@ import (
 	"detlb/internal/workload"
 )
 
+// parseErr parses spec in the named descriptor domain and returns the error
+// text, or "" when the spec parses.
+func parseErr(domain, spec string) string {
+	var err error
+	switch domain {
+	case "graph":
+		_, err = ParseGraph(spec)
+	case "algo":
+		_, err = ParseAlgo(spec)
+	case "workload":
+		_, err = ParseWorkload(spec)
+	case "schedule":
+		_, err = ParseSchedule(spec)
+	case "topology":
+		_, err = ParseTopology(spec)
+	}
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // Malformed numeric arguments must be parse errors, never silent defaults:
 // the historical atoi helper turned "cycle:abc" into a 64-cycle. Malformed
-// schedule parts (missing arguments, unknown kinds, inside a composition
-// too) fail at parse time as well.
+// parts (missing arguments, unknown kinds, inside a composition too) fail at
+// parse time as well. The messages are pinned: they are the 400 bodies the
+// serving layer returns.
 func TestParseRejectsMalformedNumerics(t *testing.T) {
-	graphs := []string{"cycle:abc", "torus:4,x", "hypercube:3.5", "complete:1e3",
-		"random:64,8,zzz", "gp:7,q", "kbipartite:#", "circulant:x,1+2", "circulant:16,1+x"}
-	for _, spec := range graphs {
-		if _, err := ParseGraph(spec); err == nil {
-			t.Errorf("graph %q should fail to parse", spec)
-		}
-	}
-	algos := []string{"good:x", "good:", "rand-extra:abc", "rand-round:1.5", "matching:seed"}
-	for _, spec := range algos {
-		if _, err := ParseAlgo(spec); err == nil {
-			t.Errorf("algorithm %q should fail to parse", spec)
-		}
-	}
-	workloads := []string{"point:x", "uniform:abc", "bimodal:0,hi", "random:10,y", "ramp:a,1"}
-	for _, spec := range workloads {
-		if _, err := ParseWorkload(spec); err == nil {
-			t.Errorf("workload %q should fail to parse", spec)
-		}
-	}
-	schedules := []string{"burst:x,0,10", "churn:8,64,s", "refill:10,1k", "drain:0,9,?",
-		"burst:20,3", "quake:1,2,3", "burst:10,0,5+quake:1"}
-	for _, spec := range schedules {
-		if _, err := ParseSchedule(spec); err == nil {
-			t.Errorf("schedule %q should fail to parse", spec)
+	for _, c := range []struct{ domain, spec, want string }{
+		{"graph", "cycle:abc", `graph cycle: bad argument "abc" for n`},
+		{"graph", "torus:4,x", `graph torus: bad argument "x" for r`},
+		{"graph", "hypercube:3.5", `graph hypercube: bad argument "3.5" for r`},
+		{"graph", "complete:1e3", `graph complete: bad argument "1e3" for n`},
+		{"graph", "random:64,8,zzz", `graph random: bad argument "zzz" for seed`},
+		{"graph", "gp:7,q", `graph gp: bad argument "q" for k`},
+		{"graph", "kbipartite:#", `graph kbipartite: bad argument "#" for k`},
+		{"graph", "circulant:x,1+2", `graph circulant: bad argument "x" for n`},
+		{"graph", "circulant:16,1+x", `bad circulant offset "x"`},
+		{"graph", "moebius:3", `unknown graph "moebius"`},
+		{"algo", "good:x", `algorithm good: bad argument "x" for s`},
+		{"algo", "good:", `algorithm good needs argument "s"`},
+		{"algo", "rand-extra:abc", `algorithm rand-extra: bad argument "abc" for seed`},
+		{"algo", "rand-round:1.5", `algorithm rand-round: bad argument "1.5" for seed`},
+		{"algo", "matching:seed", `algorithm matching: bad argument "seed" for seed`},
+		{"algo", "bogus", `unknown algorithm "bogus"`},
+		{"workload", "point:x", `workload point: bad argument "x" for total`},
+		{"workload", "uniform:abc", `workload uniform: bad argument "abc" for each`},
+		{"workload", "bimodal:0,hi", `workload bimodal: bad argument "hi" for hi`},
+		{"workload", "random:10,y", `workload random: bad argument "y" for seed`},
+		{"workload", "ramp:a,1", `workload ramp: bad argument "a" for base`},
+		{"workload", "tsunami:1", `unknown workload "tsunami"`},
+		{"schedule", "burst:x,0,10", `schedule burst: bad argument "x" for round`},
+		{"schedule", "churn:8,64,s", `schedule churn: bad argument "s" for seed`},
+		{"schedule", "refill:10,1k", `schedule refill: bad argument "1k" for amount`},
+		{"schedule", "drain:0,9,?", `schedule drain: bad argument "?" for pernode`},
+		{"schedule", "burst:20,3", `schedule burst needs argument "amount"`},
+		{"schedule", "quake:1,2,3", `unknown schedule "quake"`},
+		{"schedule", "burst:10,0,5+quake:1", `unknown schedule "quake"`},
+		{"topology", "faillink:x,0,1", `topology faillink: bad argument "x" for round`},
+		{"topology", "failnode:1,n", `topology failnode: bad argument "n" for node`},
+		{"topology", "partition:abc,8", `topology partition: bad argument "abc" for round`},
+		{"topology", "faillink:1,0", `topology faillink needs argument "v"`},
+		{"topology", "flap:0,1,4", `topology flap needs argument "period"`},
+		{"topology", "periodic-fault:6", `topology periodic-fault needs argument "down"`},
+		{"topology", "meteor:1,2,3", `unknown topology "meteor"`},
+		{"topology", "flap:0,1,4,8+meteor:1", `unknown topology "meteor"`},
+	} {
+		if got := parseErr(c.domain, c.spec); got != c.want {
+			t.Errorf("%s %q: error %q, want %q", c.domain, c.spec, got, c.want)
 		}
 	}
 }
 
 func TestParseRejectsExcessArgs(t *testing.T) {
-	for _, c := range []struct{ domain, spec string }{
-		{"graph", "petersen:5"},
-		{"graph", "cycle:8,9"},
-		{"graph", "circulant:16,1+2,7"},
-		{"algo", "send-floor:1"},
-		{"algo", "rotor-router:2"},
-		{"workload", "point:10,20"},
-		{"schedule", "burst:1,0,10,99"},
+	for _, c := range []struct{ domain, spec, want string }{
+		{"graph", "petersen:5", "graph petersen takes at most 0 arguments, got 1"},
+		{"graph", "cycle:8,9", "graph cycle takes at most 1 arguments, got 2"},
+		{"graph", "circulant:16,1+2,7", "graph circulant takes at most 2 arguments, got 3"},
+		{"algo", "send-floor:1", "algorithm send-floor takes at most 0 arguments, got 1"},
+		{"algo", "rotor-router:2", "algorithm rotor-router takes at most 0 arguments, got 1"},
+		{"workload", "point:10,20", "workload point takes at most 1 arguments, got 2"},
+		{"schedule", "burst:1,0,10,99", "schedule burst takes at most 3 arguments, got 4"},
+		{"topology", "restorelink:1,0,1,9", "topology restorelink takes at most 3 arguments, got 4"},
 	} {
-		var err error
-		switch c.domain {
-		case "graph":
-			_, err = ParseGraph(c.spec)
-		case "algo":
-			_, err = ParseAlgo(c.spec)
-		case "workload":
-			_, err = ParseWorkload(c.spec)
-		case "schedule":
-			_, err = ParseSchedule(c.spec)
-		}
-		if err == nil {
-			t.Errorf("%s %q should reject excess arguments", c.domain, c.spec)
+		if got := parseErr(c.domain, c.spec); got != c.want {
+			t.Errorf("%s %q: error %q, want %q", c.domain, c.spec, got, c.want)
 		}
 	}
 }
@@ -198,16 +236,8 @@ func TestScheduleSpecRoundTripsThroughString(t *testing.T) {
 
 func TestTopologyGrammar(t *testing.T) {
 	// Malformed numerics and excess arguments are parse errors, never
-	// defaults, matching every other descriptor domain.
-	for _, spec := range []string{
-		"faillink:x,0,1", "faillink:1,0", "restorelink:1,0,1,9",
-		"failnode:1,n", "flap:0,1,4", "partition:abc,8", "periodic-fault:6",
-		"meteor:1,2,3",
-	} {
-		if _, err := ParseTopology(spec); err == nil {
-			t.Errorf("topology %q should fail to parse", spec)
-		}
-	}
+	// defaults: TestParseRejectsMalformedNumerics and
+	// TestParseRejectsExcessArgs pin them with every other domain's.
 	// Static defaults (seed, duty, heal, redistribute) are materialized.
 	for _, c := range []struct{ spec, want string }{
 		{"periodic-fault:6,2", "periodic-fault:6,2,1"},
@@ -238,18 +268,43 @@ func TestTopologyGrammar(t *testing.T) {
 func TestTopologyBindValidation(t *testing.T) {
 	// Bind-time validation against the graph size: out-of-range nodes and
 	// can-never-fire descriptors are rejected, not silently pristine.
-	for _, spec := range []string{
-		"faillink:1,0,16", "restorelink:1,16,0", "failnode:1,99",
-		"restorenode:1,-1", "failnode:1,5,2", "flap:0,16,4,8",
-		"flap:0,1,4,8,9", "partition:5,16", "partition:5,0",
-		"partition:10,8,10", "periodic-fault:0,2", "faillink:-1,0,1",
+	for _, c := range []struct{ spec, want string }{
+		{"faillink:1,0,16", `topology "faillink": node 16 out of range [0,16)`},
+		{"restorelink:1,16,0", `topology "restorelink": node 16 out of range [0,16)`},
+		{"failnode:1,99", `topology "failnode": node 99 out of range [0,16)`},
+		{"restorenode:1,-1", `topology "restorenode": node -1 out of range [0,16)`},
+		{"failnode:1,5,2", `topology "failnode": redistribute must be 0 or 1, got 2`},
+		{"flap:0,16,4,8", `topology "flap": node 16 out of range [0,16)`},
+		{"flap:0,1,4,8,9", `topology "flap": duty 9 outside [0,8) (0 = half the period)`},
+		{"partition:5,16", `topology "partition": boundary 16 outside (0,16)`},
+		{"partition:5,0", `topology "partition": boundary 0 outside (0,16)`},
+		{"partition:10,8,10", `topology "partition" can never fire: heal round not after the cut`},
+		{"periodic-fault:0,2", `topology "periodic-fault" can never fire: non-positive cadence or downtime`},
+		{"faillink:-1,0,1", `topology "faillink" can never fire: negative round`},
+		{"restorenode:-1,2", `topology "restorenode" can never fire: negative round`},
+		{"failnode:-3,2", `topology "failnode" can never fire: negative round`},
+		{"flap:0,1,-1,8", `topology "flap" can never fire: negative start or non-positive period`},
 	} {
-		s, err := ParseTopology(spec)
+		s, err := ParseTopology(c.spec)
 		if err != nil {
-			t.Fatalf("%q should parse (bind rejects it): %v", spec, err)
+			t.Fatalf("%q should parse (bind rejects it): %v", c.spec, err)
 		}
-		if _, err := s.Bind(16); err == nil {
-			t.Errorf("topology %q should fail to bind on 16 nodes", spec)
+		if _, err := s.Bind(16); errText(err) != c.want {
+			t.Errorf("topology %q on 16 nodes: bind error %q, want %q", c.spec, errText(err), c.want)
+		}
+	}
+	// Descriptors that bypass the text grammar (JSON bodies) are validated
+	// by Bind with the parser's messages.
+	for _, c := range []struct {
+		spec TopologySpec
+		want string
+	}{
+		{TopologySpec{{Kind: "meteor"}}, `unknown topology "meteor"`},
+		{TopologySpec{{Kind: "failnode", Args: []int64{1}}}, `topology failnode needs argument "node"`},
+		{TopologySpec{{Kind: "failnode", Args: []int64{1, 2, 0, 4}}}, "topology failnode takes at most 3 arguments, got 4"},
+	} {
+		if _, err := c.spec.Bind(16); errText(err) != c.want {
+			t.Errorf("topology %v: bind error %q, want %q", c.spec, errText(err), c.want)
 		}
 	}
 	// A pristine spec binds to nil; a composition binds to a Compose.
@@ -470,47 +525,79 @@ func TestBindRunParams(t *testing.T) {
 // Constructor panics (family validation) surface as errors, so one bad
 // descriptor cannot kill a loop over many scenarios.
 func TestBindContainsConstructorPanics(t *testing.T) {
-	bad := []GraphSpec{
-		{Kind: "cycle", Args: []int64{2}},          // n < 3 panics in graph.Cycle
-		{Kind: "torus", Args: []int64{1, 2}},       // side < 3
-		{Kind: "random", Args: []int64{16, 17, 1}}, // d >= n
-	}
-	for _, g := range bad {
-		if _, err := g.Bind(); err == nil {
-			t.Errorf("%v should fail to bind", g)
+	for _, c := range []struct {
+		spec GraphSpec
+		want string
+	}{
+		{GraphSpec{Kind: "cycle", Args: []int64{2}}, "graph cycle:2: graph: cycle needs n >= 3, got 2"},
+		{GraphSpec{Kind: "torus", Args: []int64{1, 2}}, "graph torus:1,2: graph: torus needs side >= 3, got 1"},
+		{GraphSpec{Kind: "random", Args: []int64{16, 17, 1}},
+			"graph random:16,17,1: graph: random regular needs 1 <= d < n, got d=17 n=16"},
+	} {
+		if _, err := c.spec.Bind(); errText(err) != c.want {
+			t.Errorf("%v: bind error %q, want %q", c.spec, errText(err), c.want)
 		}
 	}
 	// Schedules addressing a node out of range, or that can never fire, are
 	// rejected at bind time instead of running static under a dynamic label.
-	bindRejects := func(t *testing.T, specs []string) {
-		for _, spec := range specs {
-			s, err := ParseSchedule(spec)
+	type bindCase struct{ spec, want string }
+	bindRejects := func(t *testing.T, cases []bindCase) {
+		for _, c := range cases {
+			s, err := ParseSchedule(c.spec)
 			if err != nil {
-				t.Fatalf("%q should parse (bind rejects it): %v", spec, err)
+				t.Fatalf("%q should parse (bind rejects it): %v", c.spec, err)
 			}
-			if _, err := s.Bind(16); err == nil {
-				t.Errorf("schedule %q should fail to bind on 16 nodes", spec)
+			if _, err := s.Bind(16); errText(err) != c.want {
+				t.Errorf("schedule %q on 16 nodes: bind error %q, want %q", c.spec, errText(err), c.want)
 			}
 		}
 	}
 	t.Run("schedule_out_of_range_or_never_fires", func(t *testing.T) {
-		bindRejects(t, []string{
-			"burst:5,99,32",              // node out of range for n=16
-			"periodic:5,-1,10",           // negative node
-			"churn:0,256",                // zero cadence
-			"periodic:0,1,10",            // zero cadence
-			"burst:-5,0,10",              // negative round
-			"drain:20,10,5",              // empty window
-			"drain:5,10,0",               // nothing to drain
-			"refill:10,100,-5",           // negative cadence
-			"burst:10,0,5+burst:1,99,32", // bad part inside a composition
+		bindRejects(t, []bindCase{
+			{"burst:5,99,32", `schedule "burst": node 99 out of range [0,16)`},
+			{"periodic:5,-1,10", `schedule "periodic": node -1 out of range [0,16)`},
+			{"churn:0,256", `schedule "churn" can never fire: non-positive cadence or amount`},
+			{"periodic:0,1,10", `schedule "periodic" can never fire: non-positive cadence or zero amount`},
+			{"burst:-5,0,10", `schedule "burst" can never fire: negative round or zero amount`},
+			{"drain:20,10,5", `schedule "drain" can never fire: empty window or non-positive per-node amount`},
+			{"drain:5,10,0", `schedule "drain" can never fire: empty window or non-positive per-node amount`},
+			{"refill:10,100,-5", `schedule "refill" can never fire: negative round or cadence, or zero amount`},
+			// A bad part inside a composition.
+			{"burst:10,0,5+burst:1,99,32", `schedule "burst": node 99 out of range [0,16)`},
 		})
 	})
 	t.Run("schedule_zero_amount", func(t *testing.T) {
-		bindRejects(t, []string{"burst:20,0,0", "periodic:5,1,0", "refill:10,0"})
+		bindRejects(t, []bindCase{
+			{"burst:20,0,0", `schedule "burst" can never fire: negative round or zero amount`},
+			{"periodic:5,1,0", `schedule "periodic" can never fire: non-positive cadence or zero amount`},
+			{"refill:10,0", `schedule "refill" can never fire: negative round or cadence, or zero amount`},
+		})
 	})
-	if _, err := (WorkloadSpec{Kind: "random", Args: []int64{-5, 1}}).Bind(8); err == nil {
-		t.Error("negative random max should fail to bind")
+	// Descriptors that bypass the text grammar (JSON bodies) are validated
+	// by Bind with the parser's messages.
+	for _, c := range []struct {
+		spec ScheduleSpec
+		want string
+	}{
+		{ScheduleSpec{{Kind: "quake"}}, `unknown schedule "quake"`},
+		{ScheduleSpec{{Kind: "burst", Args: []int64{1, 2}}}, `schedule burst needs argument "amount"`},
+		{ScheduleSpec{{Kind: "burst", Args: []int64{1, 2, 3, 4}}}, "schedule burst takes at most 3 arguments, got 4"},
+	} {
+		if _, err := c.spec.Bind(16); errText(err) != c.want {
+			t.Errorf("schedule %v: bind error %q, want %q", c.spec, errText(err), c.want)
+		}
+	}
+	for _, c := range []struct {
+		spec WorkloadSpec
+		want string
+	}{
+		{WorkloadSpec{Kind: "random", Args: []int64{-5, 1}}, "workload random:-5,1: workload: random max must be ≥ 0, got -5"},
+		{WorkloadSpec{Kind: "tsunami"}, `unknown workload "tsunami"`},
+		{WorkloadSpec{Kind: "point", Args: []int64{1, 2}}, "workload point takes at most 1 arguments, got 2"},
+	} {
+		if _, err := c.spec.Bind(8); errText(err) != c.want {
+			t.Errorf("workload %v: bind error %q, want %q", c.spec, errText(err), c.want)
+		}
 	}
 }
 

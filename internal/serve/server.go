@@ -74,11 +74,12 @@ type Config struct {
 	// because sampling memory is Series ≈ rounds/sample_every, a sampled
 	// scenario must carry an explicit rounds cap at all. 0 means 1<<20.
 	MaxRunRounds int
-	// MaxTopologyParts caps the total fault-schedule part count across a
-	// scenario's topology dimension. Each part is O(1) state but costs a
-	// per-round schedule probe, so a hostile body packed with tens of
-	// thousands of parts would turn every round into a linear scan.
-	// 0 means 1024.
+	// MaxTopologyParts caps the total part count of each of a scenario's
+	// two composed dimensions: the fault-schedule parts across its topology
+	// specs, and separately the load-shock parts across its schedule specs.
+	// Each part is O(1) state but costs a per-round schedule probe, so a
+	// hostile body packed with tens of thousands of parts would turn every
+	// round into a linear scan. 0 means 1024.
 	MaxTopologyParts int
 	// MaxConcurrentStreams bounds concurrent stream re-executions — each is
 	// a full deterministic re-run, so without a cap anonymous GETs could
@@ -743,15 +744,14 @@ func (s *Server) admit(fam *scenario.Family) error {
 			return fmt.Errorf("family expands to more than %d cells, this server's limit", s.cfg.MaxCells)
 		}
 	}
-	// Fault-schedule density cap: every part of every topology spec is
-	// probed once per round per cell, so the total part count bounds the
-	// per-round fault-injection work.
-	parts := 0
-	for _, spec := range fam.Topologies {
-		parts += len(spec)
-		if parts > s.cfg.MaxTopologyParts {
-			return fmt.Errorf("topology specs total more than %d parts, this server's limit", s.cfg.MaxTopologyParts)
-		}
+	// Part-density caps: every part of every schedule and topology spec is
+	// probed once per round per cell, so each dimension's total part count
+	// bounds its per-round shock- and fault-injection work.
+	if partCount(fam.Schedules) > s.cfg.MaxTopologyParts {
+		return fmt.Errorf("schedule specs total more than %d parts, this server's limit", s.cfg.MaxTopologyParts)
+	}
+	if partCount(fam.Topologies) > s.cfg.MaxTopologyParts {
+		return fmt.Errorf("topology specs total more than %d parts, this server's limit", s.cfg.MaxTopologyParts)
 	}
 	// Run-length caps: an explicit rounds count is bounded directly, and a
 	// sampled run must carry one — Series memory is rounds/sample_every, so
@@ -767,6 +767,15 @@ func (s *Server) admit(fam *scenario.Family) error {
 		return fmt.Errorf("run.sample_every requires an explicit run.rounds cap on this server")
 	}
 	return nil
+}
+
+// partCount totals the parts of a composed dimension's specs.
+func partCount[S ~[]scenario.Part](specs []S) int {
+	n := 0
+	for _, spec := range specs {
+		n += len(spec)
+	}
+	return n
 }
 
 // --- canonical execution ---

@@ -946,6 +946,15 @@ func TestAdmissionCaps(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(body, "parts") {
 		t.Fatalf("topology part bomb: %d: %s", code, body)
 	}
+	// The schedule dimension is held to the same part cap: every shock part
+	// is probed on every round of every cell too.
+	bursts := strings.Repeat(`{"kind":"burst","args":[1,0,1]},`, 9)
+	code, body = post(`{"graphs":[{"kind":"cycle","args":[8]}],` +
+		`"algos":[{"kind":"send-floor"}],"workloads":[{"kind":"point"}],` +
+		`"schedules":[[` + strings.TrimSuffix(bursts, ",") + `]]}`)
+	if code != http.StatusBadRequest || !strings.Contains(body, "schedule specs total more than 8 parts") {
+		t.Fatalf("schedule part bomb: %d: %s", code, body)
+	}
 	code, body = post(`{"graphs":[{"kind":"cycle","args":[64]}],` +
 		`"algos":[{"kind":"send-floor"}],"workloads":[{"kind":"point"}],` +
 		`"run":{"sample_every":1}}`)
