@@ -14,6 +14,7 @@ import (
 	"detlb/internal/analysis"
 	"detlb/internal/archive"
 	"detlb/internal/scenario"
+	"detlb/internal/trace"
 )
 
 // benchIndex seeds entries×20 synthetic cells into a fresh archive directory
@@ -48,7 +49,7 @@ func benchIndex(b *testing.B, entries int) *archive.Index {
 				Rounds: 10 + (i+j)%7, Horizon: 40, BalancingTime: 20, Gap: 0.25,
 				InitialDiscrepancy: 64, FinalDiscrepancy: int64((i + j) % 3),
 				MinDiscrepancy: int64((i + j) % 3), TargetRound: 5, ReachedTarget: true,
-				Shocks: []analysis.Shock{{
+				Shocks: []trace.Shock{{
 					Round: 8, Added: 32, Discrepancy: 32,
 					PeakDiscrepancy: int64(20 + (i+j)%10),
 					RecoveryRound:   10 + (i+j)%7, RecoveryRounds: 2 + (i+j)%7,

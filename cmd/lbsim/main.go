@@ -7,7 +7,7 @@
 //	lbsim -graph cycle:64 -algo rotor-router -workload point:512 \
 //	      -rounds 0 -loops -1 -sample 100 [-audit] [-workers 4] \
 //	      [-events burst:40,0,2048] [-faults partition:30,32,70] [-target -1] \
-//	      [-scenario run.json] [-emit-scenario run.json]
+//	      [-scenario run.json] [-emit-scenario run.json] [-csv series.csv]
 //
 // -scenario loads the run from a scenario JSON file (a single-cell family;
 // see docs/scenarios.md) instead of the spec flags; -emit-scenario snapshots
@@ -15,6 +15,11 @@
 // file, so the exact run can be re-executed bit-identically with -scenario.
 // Output-side flags (-audit, -csv, -orbit) are not part of a scenario and
 // compose with both.
+//
+// -csv writes the run's sampled series as round,discrepancy,max,min rows:
+// every -sample rounds, every shock and fault point, and the round that
+// stopped the run. Without -sample it samples every round, for the CSV
+// only: stdout and the emitted scenario stay those of the unsampled run.
 //
 // -events injects load mid-run (burst:ROUND,NODE,AMOUNT | drain:FROM,TO,PERNODE |
 // periodic:EVERY,NODE,AMOUNT | churn:EVERY,AMOUNT[,SEED] |
@@ -54,8 +59,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"detlb/internal/analysis"
@@ -67,26 +74,32 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
-	graphSpec := flag.String("graph", "cycle:64", "graph family:params")
-	algoSpec := flag.String("algo", "rotor-router", "algorithm")
-	loadSpec := flag.String("workload", "point:512", "initial load vector")
-	rounds := flag.Int("rounds", 0, "round cap (0 = paper horizon T)")
-	loops := flag.Int("loops", -1, "self-loops per node (-1 = d, the lazy default)")
-	sample := flag.Int("sample", 0, "print discrepancy every k rounds (0 = only summary)")
-	audit := flag.Bool("audit", false, "attach conservation, min-share and fairness auditors")
-	workers := flag.Int("workers", 0, "engine worker goroutines")
-	events := flag.String("events", "", "dynamic-workload schedule (empty = static run)")
-	faults := flag.String("faults", "", "fault-injection topology schedule (empty = pristine graph)")
-	target := flag.Int64("target", -1, "discrepancy target (-1 = none; ≥ 0 stops static runs, defines dynamic recovery)")
-	scenarioPath := flag.String("scenario", "", "load the run from this scenario JSON file (spec flags are ignored)")
-	emitPath := flag.String("emit-scenario", "", "write the resolved run as a scenario JSON file (re-runnable via -scenario)")
-	csvPath := flag.String("csv", "", "write the sampled discrepancy series to this CSV file")
-	orbit := flag.Bool("orbit", false, "after the run, detect the process's eventual load cycle")
-	flag.Parse()
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("lbsim", flag.ContinueOnError)
+	graphSpec := fs.String("graph", "cycle:64", "graph family:params")
+	algoSpec := fs.String("algo", "rotor-router", "algorithm")
+	loadSpec := fs.String("workload", "point:512", "initial load vector")
+	rounds := fs.Int("rounds", 0, "round cap (0 = paper horizon T)")
+	loops := fs.Int("loops", -1, "self-loops per node (-1 = d, the lazy default)")
+	sample := fs.Int("sample", 0, "print discrepancy every k rounds (0 = only summary)")
+	audit := fs.Bool("audit", false, "attach conservation, min-share and fairness auditors")
+	workers := fs.Int("workers", 0, "engine worker goroutines")
+	events := fs.String("events", "", "dynamic-workload schedule (empty = static run)")
+	faults := fs.String("faults", "", "fault-injection topology schedule (empty = pristine graph)")
+	target := fs.Int64("target", -1, "discrepancy target (-1 = none; ≥ 0 stops static runs, defines dynamic recovery)")
+	scenarioPath := fs.String("scenario", "", "load the run from this scenario JSON file (spec flags are ignored)")
+	emitPath := fs.String("emit-scenario", "", "write the resolved run as a scenario JSON file (re-runnable via -scenario)")
+	csvPath := fs.String("csv", "", "write the sampled discrepancy series (every round without -sample) to this CSV file")
+	orbit := fs.Bool("orbit", false, "after the run, detect the process's eventual load cycle")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cell, fam, err := buildScenario(*scenarioPath, *graphSpec, *algoSpec, *loadSpec, *events, *faults,
 		*loops, *rounds, *workers, *sample, *target)
@@ -95,7 +108,7 @@ func run() int {
 		return 2
 	}
 	if *scenarioPath != "" {
-		scenario.WarnOverriddenFlags("lbsim", flag.CommandLine,
+		scenario.WarnOverriddenFlags("lbsim", fs,
 			"graph", "algo", "workload", "events", "faults", "loops", "rounds", "workers", "sample", "target")
 	}
 	spec, err := cell.Bind()
@@ -111,7 +124,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			return 1
 		}
-		fmt.Printf("wrote scenario to %s\n", *emitPath)
+		fmt.Fprintf(stdout, "wrote scenario to %s\n", *emitPath)
 	}
 	b := spec.Balancing
 	g := b.Graph()
@@ -126,16 +139,16 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "lbsim: -audit, -csv and -orbit apply to diffusion runs (protocol models audit their invariants internally)")
 			return 2
 		}
-		fmt.Printf("graph=%s n=%d (sizing and labels only for protocol models)\n", g.Name(), g.N())
-		fmt.Printf("model=%s metric=%s initial=%d\n",
+		fmt.Fprintf(stdout, "graph=%s n=%d (sizing and labels only for protocol models)\n", g.Name(), g.N())
+		fmt.Fprintf(stdout, "model=%s metric=%s initial=%d\n",
 			spec.Model.Name(), spec.Metric.Name(), spec.Metric.Measure(x1))
 		res := analysis.Run(spec)
 		for _, p := range res.Series {
-			fmt.Printf("round %8d  %s %6d\n", p.Round, spec.Metric.Name(), p.Discrepancy)
+			fmt.Fprintf(stdout, "round %8d  %s %6d\n", p.Round, spec.Metric.Name(), p.Discrepancy)
 		}
-		fmt.Println(res.String())
+		fmt.Fprintln(stdout, res.String())
 		if res.ReachedTarget {
-			fmt.Printf("target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
+			fmt.Fprintf(stdout, "target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
 		}
 		if res.Err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", res.Err)
@@ -146,20 +159,18 @@ func run() int {
 
 	mu := spectral.Gap(b)
 	k := core.Discrepancy(x1)
-	fmt.Printf("graph=%s d=%d d°=%d d⁺=%d µ=%.4g\n",
+	fmt.Fprintf(stdout, "graph=%s d=%d d°=%d d⁺=%d µ=%.4g\n",
 		g.Name(), g.Degree(), b.SelfLoops(), b.DegreePlus(), mu)
-	fmt.Printf("algo=%s workload K=%d total=%d\n", algo.Name(), k, workload.Total(x1))
+	fmt.Fprintf(stdout, "algo=%s workload K=%d total=%d\n", algo.Name(), k, workload.Total(x1))
 
-	var fair *core.CumulativeFairnessAuditor
-	var rec *trace.Recorder
-	if *csvPath != "" {
-		interval := spec.SampleEvery
-		if interval <= 0 {
-			interval = 1
-		}
-		rec = trace.NewRecorder(interval)
-		spec.Auditors = append(spec.Auditors, rec)
+	// The printed trajectory follows the run's own sampling; -csv without
+	// it samples every round, on the bound spec only, so the emitted
+	// scenario and stdout stay those of the run as described.
+	printSeries := spec.SampleEvery > 0
+	if *csvPath != "" && !printSeries {
+		spec.SampleEvery = 1
 	}
+	var fair *core.CumulativeFairnessAuditor
 	if *audit {
 		fair = core.NewCumulativeFairnessAuditor(-1)
 		spec.Auditors = append(spec.Auditors,
@@ -169,20 +180,21 @@ func run() int {
 		)
 	}
 	res := analysis.Run(spec)
-	for _, p := range res.Series {
-		if p.Shock {
-			fmt.Printf("round %8d  discrepancy %6d  <- shock (net %+d tokens)\n", p.Round, p.Discrepancy, p.Injected)
-			continue
+	if printSeries {
+		for _, p := range res.Series {
+			switch {
+			case p.Shock != nil:
+				fmt.Fprintf(stdout, "round %8d  discrepancy %6d  <- shock (net %+d tokens)\n", p.Round, p.Discrepancy, *p.Shock)
+			case p.Fault != nil:
+				fmt.Fprintf(stdout, "round %8d  discrepancy %6d  <- fault (-%d/+%d links, -%d/+%d nodes, %d components)\n",
+					p.Round, p.Discrepancy, p.Fault.FailedLinks, p.Fault.RestoredLinks,
+					p.Fault.FailedNodes, p.Fault.RestoredNodes, p.Fault.Components)
+			default:
+				fmt.Fprintf(stdout, "round %8d  discrepancy %6d\n", p.Round, p.Discrepancy)
+			}
 		}
-		if p.Fault {
-			fmt.Printf("round %8d  discrepancy %6d  <- fault (-%d/+%d links, -%d/+%d nodes, %d components)\n",
-				p.Round, p.Discrepancy, p.FaultChange.FailedLinks, p.FaultChange.RestoredLinks,
-				p.FaultChange.FailedNodes, p.FaultChange.RestoredNodes, p.Components)
-			continue
-		}
-		fmt.Printf("round %8d  discrepancy %6d\n", p.Round, p.Discrepancy)
 	}
-	fmt.Println(res.String())
+	fmt.Fprintln(stdout, res.String())
 	for i, s := range res.Shocks {
 		recov := "not recovered within the run"
 		if s.RecoveryRounds >= 0 {
@@ -190,7 +202,7 @@ func run() int {
 		} else if spec.TargetDiscrepancy == nil {
 			recov = "no target set"
 		}
-		fmt.Printf("shock %d after round %d: +%d/-%d tokens, disc %d (peak %d), %s\n",
+		fmt.Fprintf(stdout, "shock %d after round %d: +%d/-%d tokens, disc %d (peak %d), %s\n",
 			i+1, s.Round, s.Added, s.Removed, s.Discrepancy, s.PeakDiscrepancy, recov)
 	}
 	for i, f := range res.Faults {
@@ -209,28 +221,22 @@ func run() int {
 		if f.UnreachableLoad != 0 {
 			detail += fmt.Sprintf(", unreachable %d", f.UnreachableLoad)
 		}
-		fmt.Printf("fault %d after round %d: -%d/+%d links, -%d/+%d nodes, %d components (µ=%.4g), eff disc %d (peak %d)%s, %s\n",
+		fmt.Fprintf(stdout, "fault %d after round %d: -%d/+%d links, -%d/+%d nodes, %d components (µ=%.4g), eff disc %d (peak %d)%s, %s\n",
 			i+1, f.Round, f.FailedLinks, f.RestoredLinks, f.FailedNodes, f.RestoredNodes,
 			f.Components, f.Gap, f.Discrepancy, f.PeakDiscrepancy, detail, recov)
 	}
 	if res.ReachedTarget {
-		fmt.Printf("target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
+		fmt.Fprintf(stdout, "target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
 	}
 	if fair != nil {
-		fmt.Printf("measured cumulative fairness δ = %d\n", fair.MaxDelta)
+		fmt.Fprintf(stdout, "measured cumulative fairness δ = %d\n", fair.MaxDelta)
 	}
-	if rec != nil {
-		f, err := os.Create(*csvPath)
-		if err != nil {
+	if *csvPath != "" {
+		if err := writeCSV(*csvPath, res.Series); err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			return 1
 		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, "lbsim:", err)
-			return 1
-		}
-		fmt.Printf("wrote %d samples to %s\n", len(rec.Samples()), *csvPath)
+		fmt.Fprintf(stdout, "wrote %d samples to %s\n", len(res.Series), *csvPath)
 	}
 	if res.Err != nil {
 		// Audit failures and spec-level errors (e.g. a balancer that rejects
@@ -256,13 +262,26 @@ func run() int {
 			return 1
 		}
 		if o == nil {
-			fmt.Println("no verified load cycle within the search bound (stateful rotors can cycle very slowly)")
+			fmt.Fprintln(stdout, "no verified load cycle within the search bound (stateful rotors can cycle very slowly)")
 		} else {
-			fmt.Printf("verified load cycle: period %d entered by round %d, discrepancy %d..%d\n",
+			fmt.Fprintf(stdout, "verified load cycle: period %d entered by round %d, discrepancy %d..%d\n",
 				o.Period, o.Preperiod, o.MinDiscrepancy, o.MaxDiscrepancy)
 		}
 	}
 	return 0
+}
+
+// writeCSV writes the run's sampled series to path.
+func writeCSV(path string, samples []trace.Sample) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteCSV(f, samples); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // buildScenario resolves the run description: from a scenario file when path

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"detlb/internal/analysis"
@@ -207,5 +211,74 @@ func TestParseWorkloadVariants(t *testing.T) {
 	}
 	if x, err := s.Bind(8); err != nil || len(x) != 8 {
 		t.Fatalf("random workload: %v %v", x, err)
+	}
+}
+
+// TestCSVKeepsStoppingRoundAndShockRows: -csv writes the run's series, so the
+// round that stopped the run is the last row even when it falls between
+// sampling points, and every shock point has its row. Without -sample the
+// CSV holds every round while stdout prints no trajectory.
+func TestCSVKeepsStoppingRoundAndShockRows(t *testing.T) {
+	base := []string{"-graph", "cycle:64", "-algo", "rotor-router", "-workload", "point:512", "-target", "8"}
+	stopRe := regexp.MustCompile(`(?m)^rounds=(\d+)/`)
+	shockRe := regexp.MustCompile(`(?m)^shock 1 after round (\d+): .* disc (\d+) `)
+	trajectoryRe := regexp.MustCompile(`(?m)^round `)
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		shock   bool
+		printed bool // stdout carries the trajectory
+		rows    int  // expected data rows, 0 = unchecked
+	}{
+		{"target-stopped", []string{"-sample", "100"}, false, true, 0},
+		{"burst", []string{"-sample", "100", "-rounds", "137", "-events", "burst:40,0,2048"}, true, true, 0},
+		{"unsampled", []string{"-rounds", "30"}, false, false, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "series.csv")
+			var stdout bytes.Buffer
+			if code := run(append(append(append([]string{}, base...), tc.args...), "-csv", path), &stdout); code != 0 {
+				t.Fatalf("exit %d:\n%s", code, stdout.String())
+			}
+			out := stdout.String()
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			rows, err := csv.NewReader(f).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(rows[0], ","); got != "round,discrepancy,max,min" {
+				t.Fatalf("header %q", got)
+			}
+			m := stopRe.FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("no summary line:\n%s", out)
+			}
+			if last := rows[len(rows)-1]; last[0] != m[1] {
+				t.Fatalf("last row %v, want the stopping round %s", last, m[1])
+			}
+			if tc.shock {
+				s := shockRe.FindStringSubmatch(out)
+				if s == nil {
+					t.Fatalf("no shock line:\n%s", out)
+				}
+				found := false
+				for _, row := range rows[1:] {
+					found = found || (row[0] == s[1] && row[1] == s[2])
+				}
+				if !found {
+					t.Fatalf("no row for the shock after round %s (disc %s): %v", s[1], s[2], rows)
+				}
+			}
+			if tc.rows > 0 && len(rows)-1 != tc.rows {
+				t.Fatalf("%d rows, want %d", len(rows)-1, tc.rows)
+			}
+			if trajectoryRe.MatchString(out) != tc.printed {
+				t.Fatalf("trajectory printed = %v, want %v:\n%s", !tc.printed, tc.printed, out)
+			}
+		})
 	}
 }

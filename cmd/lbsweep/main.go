@@ -358,15 +358,11 @@ func writeSeries(dir string, results []analysis.RunResult) (int, error) {
 		if len(res.Series) == 0 {
 			continue
 		}
-		samples := make([]trace.Sample, len(res.Series))
-		for j, p := range res.Series {
-			samples[j] = p.Sample()
-		}
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("sweep-%04d.jsonl", i)))
 		if err != nil {
 			return written, err
 		}
-		if err := trace.WriteSamplesJSONL(f, samples); err != nil {
+		if err := trace.WriteSamplesJSONL(f, res.Series); err != nil {
 			f.Close()
 			return written, err
 		}

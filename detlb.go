@@ -240,7 +240,7 @@ type (
 	// ComposeSchedules overlays several schedules into one.
 	ComposeSchedules = workload.Compose
 	// Shock records one injection and its recovery metrics.
-	Shock = analysis.Shock
+	Shock = trace.Shock
 )
 
 // Workloads.
@@ -426,8 +426,9 @@ var (
 	MetricsDefBuckets = metrics.DefBuckets
 )
 
-// Snapshot is one observation of a streaming run.
-type Snapshot = analysis.Snapshot
+// Sample is one observation of a run: what Stream yields and what
+// RunResult.Series holds.
+type Sample = trace.Sample
 
 var (
 	// Stream executes a RunSpec as a lazy per-round sequence with per-round
@@ -459,12 +460,6 @@ var (
 	// WindowDeviation measures the Equation (7) window-average deviation.
 	WindowDeviation = analysis.WindowDeviation
 )
-
-// TraceRecorder samples per-round load statistics for CSV/JSONL export.
-type TraceRecorder = trace.Recorder
-
-// NewTraceRecorder returns a recorder sampling every interval rounds.
-var NewTraceRecorder = trace.NewRecorder
 
 // ExperimentConfig tunes the experiment suite.
 type ExperimentConfig = analysis.Config

@@ -45,9 +45,11 @@
 //     bit-identically (Scenario, ScenarioFamily, LoadScenario,
 //     BindScenarios, ScenarioPreset; see docs/scenarios.md and the
 //     -scenario/-emit-scenario/-preset flags of lbsim and lbsweep);
-//   - a streaming run API: Stream(ctx, spec) yields one Snapshot per round
-//     (plus Shock-marked injection snapshots) with per-round cancellation,
-//     and is the primitive Run and Sweep are expressed over;
+//   - a streaming run API: Stream(ctx, spec) yields one Sample per round
+//     (plus Shock- and Fault-marked event samples) with per-round
+//     cancellation, and is the primitive Run and Sweep are expressed over;
+//     the samples are the same records RunResult.Series holds and the
+//     archive stores;
 //   - a scenario-driven serving layer (cmd/lbserve): a long-running HTTP
 //     daemon that accepts scenario JSON or preset names, executes them on
 //     the sweep harness's bounded runner pool, streams per-round snapshots

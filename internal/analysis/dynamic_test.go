@@ -76,12 +76,12 @@ func TestDynamicRunRecoveryMetrics(t *testing.T) {
 	// Shock markers: one marked sample per injection, regardless of interval.
 	marks := 0
 	for _, p := range res.Series {
-		if p.Shock {
+		if p.Shock != nil {
 			marks++
 			if p.Round != 20 && p.Round != 80 {
 				t.Fatalf("marker at unexpected round %d", p.Round)
 			}
-			if p.Injected == 0 || p.Discrepancy == 0 {
+			if *p.Shock == 0 || p.Discrepancy == 0 {
 				t.Fatalf("marker incomplete: %+v", p)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"detlb/internal/graph"
 	"detlb/internal/spectral"
 	"detlb/internal/topology"
+	"detlb/internal/trace"
 	"detlb/internal/workload"
 )
 
@@ -32,8 +33,8 @@ type RunSpec struct {
 	Model core.ModelBuilder
 	// Metric maps model state to the value the round loop tracks in place of
 	// the load discrepancy (required with Model; ignored on diffusion runs).
-	// TargetDiscrepancy, Patience, and the Series/Snapshot discrepancy fields
-	// all read this metric's value on model runs, so time-to-target
+	// TargetDiscrepancy, Patience, and the discrepancy of every trace.Sample
+	// read this metric's value on model runs, so time-to-target
 	// generalizes to time-to-consensus.
 	Metric core.Metric
 	// Initial is x₁ (not mutated).
@@ -64,20 +65,20 @@ type RunSpec struct {
 	// Events, when non-nil, injects load between rounds: after every
 	// completed round r (including r = 0, before the first) the schedule's
 	// delta is added to the load vector via Engine.ApplyDelta, and every
-	// nonzero injection is recorded as a Shock with its recovery metrics.
-	// Schedules are pure functions of (round, loads), so dynamic runs keep
-	// the engine's bit-identical-across-worker-counts guarantee.
+	// nonzero injection is recorded as a trace.Shock with its recovery
+	// metrics. Schedules are pure functions of (round, loads), so dynamic
+	// runs keep the engine's bit-identical-across-worker-counts guarantee.
 	Events workload.Schedule
 	// Topology, when non-nil, injects link/node fault events between rounds:
 	// after every completed round r (including r = 0, before the first) the
 	// schedule's delta is applied via Engine.ApplyTopologyDelta — before the
 	// same round's workload injection, so the network changes first and load
 	// then arrives on the changed network — and every effective delta is
-	// recorded as a FaultEvent with its recovery metrics. Schedules are pure
-	// functions of (round, graph), so faulted runs keep the engine's
-	// bit-identical-across-worker-counts guarantee. Like Events, a topology
-	// schedule makes the run dynamic: the discrepancy target defines
-	// per-fault recovery instead of stopping the run.
+	// recorded as a trace.FaultEvent with its recovery metrics. Schedules
+	// are pure functions of (round, graph), so faulted runs keep the
+	// engine's bit-identical-across-worker-counts guarantee. Like Events, a
+	// topology schedule makes the run dynamic: the discrepancy target
+	// defines per-fault recovery instead of stopping the run.
 	Topology topology.Schedule
 	// Workers selects engine parallelism (0/1 = serial).
 	Workers int
@@ -97,98 +98,6 @@ func Target(d int64) *int64 { return &d }
 // smallest real gap in this library's range is the long cycle's Θ(1/n²),
 // well above 10⁻¹⁰ for any simulable n.
 const muZeroTol = 1e-10
-
-// Point is one sample of the discrepancy trajectory.
-type Point struct {
-	Round       int
-	Discrepancy int64
-	// Max and Min are the load extrema behind the discrepancy, so sampled
-	// series can be exported as full trace records.
-	Max int64
-	Min int64
-	// Shock marks an injection point: the sample was taken immediately after
-	// a Schedule delta was applied (between rounds Round and Round+1), with
-	// Injected the net token change. Shock points are recorded whenever
-	// sampling is on, regardless of the sampling interval, so JSONL exports
-	// carry a marker for every injection.
-	Shock    bool
-	Injected int64
-	// Fault marks a topology-event point: the sample was taken immediately
-	// after an ApplyTopologyDelta changed the graph, with FaultChange the
-	// event summary and Components the live component count after it. Like
-	// shock points, fault points are recorded whenever sampling is on.
-	Fault       bool
-	FaultChange core.TopologyChange
-	Components  int
-}
-
-// Shock records one load injection of a dynamic run and the recovery that
-// followed it — the self-stabilization view of the paper's bound: after an
-// adversarial perturbation, how many rounds until the discrepancy target is
-// re-reached.
-type Shock struct {
-	// Round is the number of completed rounds when the delta was applied
-	// (0 = before the first round); round Round+1 is the first to see it.
-	Round int
-	// Added and Removed are the injected token totals: Σ of the positive
-	// deltas and Σ of the negated negative deltas. A pure migration (churn)
-	// has Added == Removed.
-	Added, Removed int64
-	// Discrepancy is the discrepancy immediately after the injection.
-	Discrepancy int64
-	// PeakDiscrepancy is the maximum discrepancy observed from the injection
-	// until recovery (or until the run ended).
-	PeakDiscrepancy int64
-	// RecoveryRound is the first round after the injection whose
-	// discrepancy was ≤ TargetDiscrepancy, or −1 (no target set, or the run
-	// ended first). RecoveryRounds is RecoveryRound − Round.
-	RecoveryRound  int
-	RecoveryRounds int
-}
-
-// FaultEvent records one effective topology delta of a faulted run and the
-// recovery that followed it — the robustness mirror of Shock. Recovery is
-// judged on the *effective* discrepancy (the maximum per-component max−min
-// over live components, Engine.EffectiveDiscrepancy): after a partition each
-// side can still balance internally even though the global discrepancy is
-// pinned by the imbalance across the cut, and that internal re-convergence
-// is what graceful degradation means.
-type FaultEvent struct {
-	// Round is the number of completed rounds when the delta was applied
-	// (0 = before the first round); round Round+1 is the first to run on the
-	// changed graph.
-	Round int
-	// FailedLinks/RestoredLinks/FailedNodes/RestoredNodes count the event's
-	// effective changes (no-op events are not recorded at all).
-	FailedLinks   int
-	RestoredLinks int
-	FailedNodes   int
-	RestoredNodes int
-	// Stranded is the load removed with stranded node failures by this
-	// event; Redistributed the load moved from failing nodes to neighbors.
-	Stranded      int64
-	Redistributed int64
-	// Components is the number of live components right after the event.
-	Components int
-	// Gap is the faulted eigenvalue gap of the post-event graph
-	// (spectral.FaultedGap); ≈ 0 when the event disconnected it.
-	Gap float64
-	// Discrepancy is the effective discrepancy immediately after the event;
-	// PeakDiscrepancy the maximum effective discrepancy observed from the
-	// event until recovery (or until the run ended).
-	Discrepancy     int64
-	PeakDiscrepancy int64
-	// RecoveryRound is the first round after the event whose effective
-	// discrepancy was ≤ TargetDiscrepancy, or −1 (no target set, or the run
-	// ended first). RecoveryRounds is RecoveryRound − Round.
-	RecoveryRound  int
-	RecoveryRounds int
-	// UnreachableLoad is the load excess no amount of balancing can move off
-	// its component at event time: Σ over live components of
-	// max(0, total − size·⌈L/N⌉) with L, N the live totals. 0 while the live
-	// graph stays connected.
-	UnreachableLoad int64
-}
 
 // RunResult captures the outcome of a simulation.
 type RunResult struct {
@@ -213,14 +122,16 @@ type RunResult struct {
 	StoppedEarly bool
 	// ReachedTarget reports whether TargetDiscrepancy was reached.
 	ReachedTarget bool
-	// Series holds sampled points when requested.
-	Series []Point
+	// Series holds the sampled observations when SampleEvery > 0: every
+	// SampleEvery-th round, every shock and fault point regardless of the
+	// interval, and the stopping round.
+	Series []trace.Sample
 	// Shocks holds one record per load injection of a dynamic run (Events),
 	// in injection order, each with its recovery metrics.
-	Shocks []Shock
+	Shocks []trace.Shock
 	// Faults holds one record per effective topology delta of a faulted run
 	// (Topology), in event order, each with its recovery metrics.
-	Faults []FaultEvent
+	Faults []trace.FaultEvent
 	// Metric names the convergence measure the scalar fields carry: "" for
 	// diffusion runs (plain load discrepancy, the historical encoding, kept
 	// implicit so existing consumers and archives are untouched) or the model

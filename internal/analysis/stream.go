@@ -7,55 +7,26 @@ import (
 
 	"detlb/internal/core"
 	"detlb/internal/spectral"
+	"detlb/internal/trace"
 )
-
-// Round counts completed balancing rounds; it is the key of the streaming
-// run sequence (round 0 is the initial state, before the first round).
-type Round = int
-
-// Snapshot is one observation of a streaming run: the discrepancy and load
-// extrema after a completed round, or immediately after a schedule injection
-// (Shock) between rounds.
-type Snapshot struct {
-	// Discrepancy is max − min load at this observation (the spec Metric's
-	// value on model runs).
-	Discrepancy int64
-	// Max and Min are the load extrema behind the discrepancy.
-	Max int64
-	Min int64
-	// Shock marks an injection observation: the snapshot was taken right
-	// after a Schedule delta was applied, between the keyed round and the
-	// next one, with Injected the net token change. A shocked round yields
-	// twice: once for the injection, once for the round that follows it.
-	Shock    bool
-	Injected int64
-	// Fault marks a topology-event observation: the snapshot was taken right
-	// after an ApplyTopologyDelta changed the graph, between the keyed round
-	// and the next one, with FaultChange the event summary and Components
-	// the live component count after it. A faulted round yields twice, like
-	// a shocked one (and up to three times when a round carries both a fault
-	// and a shock: fault first — the network changes before load arrives).
-	Fault       bool
-	FaultChange core.TopologyChange
-	Components  int
-}
 
 // Stream executes the spec as a lazy per-round sequence — the primitive the
 // whole harness is expressed over: Run is Stream drained to completion, and
 // the sweep runner drains the same core with a reused engine.
 //
-// The sequence yields the initial state under key 0, then one snapshot per
-// completed round (plus one per schedule injection, marked Shock), honoring
-// the spec's horizon, target, and patience exactly like Run. Breaking out of
-// the loop stops the run at that round and releases the engine; a canceled
-// ctx stops it within one round. Each iteration of the returned sequence
-// re-executes the spec from the start.
+// The sequence yields the initial state as round 0, then one sample per
+// completed round (plus one per schedule injection, marked Shock, and one
+// per topology event, marked Fault), honoring the spec's horizon, target,
+// and patience exactly like Run. Breaking out of the loop stops the run at
+// that round and releases the engine; a canceled ctx stops it within one
+// round. Each iteration of the returned sequence re-executes the spec from
+// the start.
 //
 // Stream discards the RunResult bookkeeping; use StreamInto to observe
 // rounds and still collect the final result (including spec errors, which
 // end the sequence immediately and are only visible through the result).
-func Stream(ctx context.Context, spec RunSpec) iter.Seq2[Round, Snapshot] {
-	return func(yield func(Round, Snapshot) bool) {
+func Stream(ctx context.Context, spec RunSpec) iter.Seq[trace.Sample] {
+	return func(yield func(trace.Sample) bool) {
 		var res RunResult
 		StreamInto(ctx, spec, &res)(yield)
 	}
@@ -70,8 +41,8 @@ func Stream(ctx context.Context, spec RunSpec) iter.Seq2[Round, Snapshot] {
 // contained into res.Err, matching Run and the sweep path, so one bad spec
 // cannot kill a loop over many streams; a panic in the consumer's own loop
 // body is not swallowed — it propagates out of the range statement.
-func StreamInto(ctx context.Context, spec RunSpec, res *RunResult) iter.Seq2[Round, Snapshot] {
-	return func(yield func(Round, Snapshot) bool) {
+func StreamInto(ctx context.Context, spec RunSpec, res *RunResult) iter.Seq[trace.Sample] {
+	return func(yield func(trace.Sample) bool) {
 		inYield := false
 		defer func() {
 			if r := recover(); r != nil {
@@ -94,9 +65,9 @@ func StreamInto(ctx context.Context, spec RunSpec, res *RunResult) iter.Seq2[Rou
 			return
 		}
 		defer m.Close()
-		streamRounds(ctx, spec, m, res)(func(round Round, snap Snapshot) bool {
+		streamRounds(ctx, spec, m, res)(func(s trace.Sample) bool {
 			inYield = true
-			ok := yield(round, snap)
+			ok := yield(s)
 			inYield = false
 			return ok
 		})
@@ -115,17 +86,18 @@ func (e *streamCanceledError) Error() string {
 func (e *streamCanceledError) Unwrap() error { return e.cause }
 
 // streamRounds drives a simulator already holding the spec's initial vector
-// through the round loop, yielding one snapshot per observation and folding
-// the full RunResult bookkeeping into res. It is the single round-loop
-// implementation for diffusion engines and models alike: Run (a fresh
-// simulator per call), the sweep runner (simulators reused across specs via
-// Reset), and every streaming consumer drain it, so their results are
-// bit-identical to each other.
+// through the round loop, yielding one trace.Sample per observation and
+// folding the full RunResult bookkeeping into res. It is the single
+// round-loop implementation for diffusion engines and models alike: Run (a
+// fresh simulator per call), the sweep runner (simulators reused across specs
+// via Reset), and every streaming consumer drain it, so their results are
+// bit-identical to each other. The samples it yields and the ones it keeps
+// in res.Series are the same records.
 //
 // Each observation takes one pass over the state (core.Extrema); the value
 // tracked is the load discrepancy max − min on diffusion runs and
-// spec.Metric's value on model runs, where Snapshot.Discrepancy and the
-// Series carry the metric and Max/Min the state extrema.
+// spec.Metric's value on model runs, where Sample.Discrepancy carries the
+// metric and Max/Min the state extrema.
 //
 // With spec.Events set the loop becomes the dynamic-workload harness: before
 // each round the schedule's delta is injected through Model.ApplyDelta and
@@ -136,32 +108,34 @@ func (e *streamCanceledError) Unwrap() error { return e.cause }
 // Run/Sweep/Stream entry points. Topology schedules need the diffusion
 // engine itself; prepareResult rejects them (and workload schedules) on
 // model specs.
-func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResult) iter.Seq2[Round, Snapshot] {
-	return func(yield func(Round, Snapshot) bool) {
+func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResult) iter.Seq[trace.Sample] {
+	return func(yield func(trace.Sample) bool) {
 		eng, _ := m.(*core.Engine)
 		var metric core.Metric
 		if spec.Model != nil {
 			metric = spec.Metric
 		}
-		// observe measures the current state: its tracked value and extrema.
-		observe := func() (val, lo, hi int64) {
-			lo, hi = core.Extrema(m.State())
-			if metric == nil {
-				return hi - lo, lo, hi
+		// observe measures the current state after `round` completed rounds:
+		// its tracked value and extrema.
+		observe := func(round int) trace.Sample {
+			lo, hi := core.Extrema(m.State())
+			s := trace.Sample{Round: round, Discrepancy: hi - lo, Max: hi, Min: lo}
+			if metric != nil {
+				s.Discrepancy = metric.Measure(m.State())
 			}
-			return metric.Measure(m.State()), lo, hi
+			return s
 		}
 		target, targetSet := int64(0), false
 		if spec.TargetDiscrepancy != nil {
 			target, targetSet = *spec.TargetDiscrepancy, true
 		}
-		disc, lo, hi := observe()
-		best := disc
+		initial := observe(0)
+		best := initial.Discrepancy
 		res.MinDiscrepancy = best
-		res.FinalDiscrepancy = disc
+		res.FinalDiscrepancy = initial.Discrepancy
 		horizon := res.Horizon
 
-		if targetSet && disc <= target {
+		if targetSet && initial.Discrepancy <= target {
 			// The initial vector already meets the target: a time-to-target
 			// measurement is 0 rounds, not "whenever the trajectory next
 			// happens to dip under it". A topology schedule, like a workload
@@ -172,19 +146,19 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				if spec.SampleEvery > 0 {
 					// The stopping state joins the series here too, so a
 					// sampled spec always produces a (one-point) trajectory.
-					res.Series = append(res.Series, Point{Round: 0, Discrepancy: disc, Max: hi, Min: lo})
+					res.Series = append(res.Series, initial)
 				}
-				yield(0, Snapshot{Discrepancy: disc, Max: hi, Min: lo})
+				yield(initial)
 				return
 			}
 		}
 
 		// Round 0 — the state before the first round — opens every stream.
-		if !yield(0, Snapshot{Discrepancy: disc, Max: hi, Min: lo}) {
+		if !yield(initial) {
 			if spec.SampleEvery > 0 {
 				// A consumer break is a stopping round like any other: a
 				// sampled spec always produces a (one-point) trajectory.
-				res.Series = append(res.Series, Point{Round: 0, Discrepancy: disc, Max: hi, Min: lo})
+				res.Series = append(res.Series, initial)
 			}
 			return
 		}
@@ -194,7 +168,7 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 		// first shock still awaiting recovery — recoveries close all open
 		// shocks at once, so the open ones always form a suffix of
 		// res.Shocks. openFaultFrom mirrors it for fault events.
-		patienceBest := disc
+		patienceBest := initial.Discrepancy
 		lastImprovement := 0
 		openFrom := 0
 		openFaultFrom := 0
@@ -246,20 +220,20 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 			}
 		}
 
-		// finish records the stopping state, appending the final sample when
-		// the stop fell between sampling points (the interval loop alone would
-		// drop the round that actually stopped the run).
-		finish := func(round int, disc, lo, hi int64, sampled bool) {
-			res.Rounds = round
-			res.FinalDiscrepancy = disc
+		// finish records the stopping state s, appending it to the series
+		// when the stop fell between sampling points (the interval loop alone
+		// would drop the round that actually stopped the run).
+		finish := func(s trace.Sample, sampled bool) {
+			res.Rounds = s.Round
+			res.FinalDiscrepancy = s.Discrepancy
 			res.MinDiscrepancy = best
 			if spec.SampleEvery > 0 && !sampled {
-				res.Series = append(res.Series, Point{Round: round, Discrepancy: disc, Max: hi, Min: lo})
+				res.Series = append(res.Series, s)
 			}
 		}
 
 		// inject applies the schedule's delta after `completed` rounds and
-		// yields the post-injection snapshot; it reports whether the stream's
+		// yields the post-injection sample; it reports whether the stream's
 		// consumer wants to continue, finalizing the bookkeeping at the
 		// post-injection state when the consumer breaks on the shock.
 		inject := func(completed int) bool {
@@ -285,29 +259,30 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				// schedule bug must not pass silently.
 				panic(err)
 			}
-			after, ilo, ihi := observe()
+			s := observe(completed)
+			injected := added - removed
+			s.Shock = &injected
 			// Shocks can overlap: an injection while earlier shocks are still
 			// unrecovered is part of their observation window, so the
 			// post-injection spike counts toward their peaks too.
-			updatePeaks(after)
-			res.Shocks = append(res.Shocks, Shock{
+			updatePeaks(s.Discrepancy)
+			res.Shocks = append(res.Shocks, trace.Shock{
 				Round: completed, Added: added, Removed: removed,
-				Discrepancy: after, PeakDiscrepancy: after,
+				Discrepancy: s.Discrepancy, PeakDiscrepancy: s.Discrepancy,
 				RecoveryRound: -1, RecoveryRounds: -1,
 			})
-			if after < best {
-				best = after
+			if s.Discrepancy < best {
+				best = s.Discrepancy
 				res.MinDiscrepancy = best
 			}
-			patienceBest = after
+			patienceBest = s.Discrepancy
 			lastImprovement = completed
 			if spec.SampleEvery > 0 {
-				res.Series = append(res.Series, Point{
-					Round: completed, Discrepancy: after, Max: ihi, Min: ilo,
-					Shock: true, Injected: added - removed,
-				})
+				// Shock points are recorded whenever sampling is on,
+				// regardless of the interval, so every injection is marked.
+				res.Series = append(res.Series, s)
 			}
-			if targetSet && after <= target {
+			if targetSet && s.Discrepancy <= target {
 				// The injection itself kept (or restored) the target: the
 				// shocks recover instantly, and a first-ever reach between
 				// rounds is attributed to the round just completed, mirroring
@@ -318,29 +293,26 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 					res.TargetRound = completed
 				}
 			}
-			if !yield(completed, Snapshot{
-				Discrepancy: after, Max: ihi, Min: ilo,
-				Shock: true, Injected: added - removed,
-			}) {
+			if !yield(s) {
 				// The consumer stopped on the shock: the injection is already
-				// recorded (Shocks, and a Shock-marked Series point when
+				// recorded (Shocks, and a Shock-marked Series sample when
 				// sampling), so finalize at the post-injection state without
 				// appending a second sample for the same round.
-				finish(completed, after, ilo, ihi, true)
+				finish(s, true)
 				return false
 			}
 			return true
 		}
 
-		// last* track the most recently completed round's state so the
-		// horizon-exhausted and canceled exits can finalize without an extra
-		// pass over the loads.
-		lastDisc, lastLo, lastHi := disc, lo, hi
+		// last tracks the most recently completed round's state so the
+		// horizon-exhausted, canceled and fault-error exits can finalize
+		// without an extra pass over the loads.
+		last := initial
 		lastSampled := false
 
 		// injectFault applies the topology schedule's delta after `completed`
 		// rounds — before the same round's workload injection — records the
-		// FaultEvent, and yields the post-event snapshot. It reports whether
+		// FaultEvent, and yields the post-event sample. It reports whether
 		// the stream should continue; on a schedule error (a generator
 		// addressing a node out of range) or a consumer break it finalizes
 		// the bookkeeping itself.
@@ -352,20 +324,25 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 			ch, err := eng.ApplyTopologyDelta(tdelta)
 			if err != nil {
 				res.Err = fmt.Errorf("analysis: topology schedule at round %d: %w", completed, err)
-				finish(completed, lastDisc, lastLo, lastHi, lastSampled)
+				finish(last, lastSampled)
 				return false
 			}
 			if !ch.Changed() {
 				return true
 			}
-			fdisc, flo, fhi := observe()
+			s := observe(completed)
 			_, comps := eng.Components()
+			s.Fault = &trace.FaultMark{
+				FailedLinks: ch.FailedLinks, RestoredLinks: ch.RestoredLinks,
+				FailedNodes: ch.FailedNodes, RestoredNodes: ch.RestoredNodes,
+				Components: comps, Stranded: ch.Stranded,
+			}
 			eff := eng.EffectiveDiscrepancy()
 			// A redistribution (or the next fault of a flap) can spike the
 			// global discrepancy inside open shock windows too.
-			updatePeaks(fdisc)
+			updatePeaks(s.Discrepancy)
 			updateFaultPeaks(eff)
-			res.Faults = append(res.Faults, FaultEvent{
+			res.Faults = append(res.Faults, trace.FaultEvent{
 				Round:       completed,
 				FailedLinks: ch.FailedLinks, RestoredLinks: ch.RestoredLinks,
 				FailedNodes: ch.FailedNodes, RestoredNodes: ch.RestoredNodes,
@@ -376,20 +353,19 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				RecoveryRound: -1, RecoveryRounds: -1,
 				UnreachableLoad: eng.UnreachableLoad(),
 			})
-			if fdisc < best {
-				best = fdisc
+			if s.Discrepancy < best {
+				best = s.Discrepancy
 				res.MinDiscrepancy = best
 			}
 			// A fault restarts the patience clock: the pre-fault minimum is
 			// not a meaningful baseline while the system re-converges on the
 			// changed graph.
-			patienceBest = fdisc
+			patienceBest = s.Discrepancy
 			lastImprovement = completed
 			if spec.SampleEvery > 0 {
-				res.Series = append(res.Series, Point{
-					Round: completed, Discrepancy: fdisc, Max: fhi, Min: flo,
-					Fault: true, FaultChange: ch, Components: comps,
-				})
+				// Like shock points, fault points are recorded whenever
+				// sampling is on.
+				res.Series = append(res.Series, s)
 			}
 			if targetSet && eff <= target {
 				// A restore (or a stranding that removed the outliers) can
@@ -397,14 +373,10 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				// instantly.
 				closeFaults(completed)
 			}
-			if !yield(completed, Snapshot{
-				Discrepancy: fdisc, Max: fhi, Min: flo,
-				Fault: true, FaultChange: ch, Components: comps,
-			}) {
-				finish(completed, fdisc, flo, fhi, true)
+			if !yield(s) {
+				finish(s, true)
 				return false
 			}
-			lastDisc, lastLo, lastHi = fdisc, flo, fhi
 			return true
 		}
 
@@ -417,7 +389,7 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				// before the first round records the round-0 state, matching
 				// the consumer-break-at-round-0 path — a sampled spec always
 				// produces a trajectory.
-				finish(round-1, lastDisc, lastLo, lastHi, lastSampled)
+				finish(last, lastSampled)
 				return
 			}
 			if spec.Topology != nil && !injectFault(round-1) {
@@ -433,18 +405,19 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				// debugging), so its discrepancy joins the bookkeeping like
 				// any other stopping round.
 				res.Err = err
-				sdisc, slo, shi := observe()
-				if sdisc < best {
-					best = sdisc
+				s := observe(round)
+				if s.Discrepancy < best {
+					best = s.Discrepancy
 				}
-				finish(round, sdisc, slo, shi, false)
-				yield(round, Snapshot{Discrepancy: sdisc, Max: shi, Min: slo})
+				finish(s, false)
+				yield(s)
 				return
 			}
-			disc, lo, hi := observe()
+			s := observe(round)
+			disc := s.Discrepancy
 			sampled := false
 			if spec.SampleEvery > 0 && round%spec.SampleEvery == 0 {
-				res.Series = append(res.Series, Point{Round: round, Discrepancy: disc, Max: hi, Min: lo})
+				res.Series = append(res.Series, s)
 				sampled = true
 			}
 			if disc < best {
@@ -472,21 +445,21 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 					res.TargetRound = round
 				}
 				if spec.Events == nil && spec.Topology == nil {
-					finish(round, disc, lo, hi, sampled)
-					yield(round, Snapshot{Discrepancy: disc, Max: hi, Min: lo})
+					finish(s, sampled)
+					yield(s)
 					return
 				}
 			}
 			if spec.Patience > 0 && round-lastImprovement >= spec.Patience {
 				res.StoppedEarly = true
-				finish(round, disc, lo, hi, sampled)
-				yield(round, Snapshot{Discrepancy: disc, Max: hi, Min: lo})
+				finish(s, sampled)
+				yield(s)
 				return
 			}
-			lastDisc, lastLo, lastHi, lastSampled = disc, lo, hi, sampled
+			last, lastSampled = s, sampled
 			if round < horizon {
-				if !yield(round, Snapshot{Discrepancy: disc, Max: hi, Min: lo}) {
-					finish(round, disc, lo, hi, sampled)
+				if !yield(s) {
+					finish(s, sampled)
 					return
 				}
 			}
@@ -494,9 +467,12 @@ func streamRounds(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 		// Horizon exhausted — the normal exit for every dynamic run (the
 		// target defines recovery, not termination). The final state joins the
 		// series like any other stopping round when it fell mid-interval.
-		finish(horizon, lastDisc, lastLo, lastHi, lastSampled || horizon < 1)
+		// last is the horizon round's state — or the initial one under a
+		// non-positive explicit cap, which runs no round at all.
+		last.Round = horizon
+		finish(last, lastSampled || horizon < 1)
 		if horizon >= 1 {
-			yield(horizon, Snapshot{Discrepancy: lastDisc, Max: lastHi, Min: lastLo})
+			yield(last)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"detlb/internal/balancer"
 	"detlb/internal/graph"
 	"detlb/internal/protocol"
+	"detlb/internal/trace"
 	"detlb/internal/workload"
 )
 
@@ -63,11 +64,11 @@ func TestStreamSnapshotsMatchSeries(t *testing.T) {
 	spec := streamTestSpec()
 	res := Run(spec)
 
-	snaps := map[Round]Snapshot{}
-	var rounds []Round
-	for r, s := range Stream(context.Background(), spec) {
-		snaps[r] = s
-		rounds = append(rounds, r)
+	snaps := map[int]trace.Sample{}
+	var rounds []int
+	for s := range Stream(context.Background(), spec) {
+		snaps[s.Round] = s
+		rounds = append(rounds, s.Round)
 	}
 	if len(rounds) == 0 || rounds[0] != 0 {
 		t.Fatalf("stream must open with round 0, got %v", rounds)
@@ -86,17 +87,48 @@ func TestStreamSnapshotsMatchSeries(t *testing.T) {
 	}
 }
 
+// TestSampleWireEncoding: the streamed samples and the run's Series are the
+// same trace records for the same observations, shock markers carried
+// behind the pointer — a net-0 injection (churn) still marks.
+func TestSampleWireEncoding(t *testing.T) {
+	spec := streamTestSpec()
+	spec.Events = workload.Churn{Every: 10, Amount: 8, Seed: 1}
+	var res RunResult
+	var streamed []trace.Sample
+	for s := range StreamInto(context.Background(), spec, &res) {
+		streamed = append(streamed, s)
+	}
+	if want := (trace.Sample{Round: 0, Discrepancy: 320, Max: 320, Min: 0}); !reflect.DeepEqual(streamed[0], want) {
+		t.Fatalf("plain sample: %+v", streamed[0])
+	}
+	if !reflect.DeepEqual(streamed[1:], res.Series) {
+		t.Fatal("streamed samples and Series drifted apart")
+	}
+	shocks := 0
+	for _, s := range res.Series {
+		if s.Shock != nil {
+			shocks++
+			if *s.Shock != 0 {
+				t.Fatalf("churn injects net 0 tokens: %+v", s)
+			}
+		}
+	}
+	if shocks == 0 || shocks != len(res.Shocks) {
+		t.Fatalf("%d shock-marked samples for %d shocks", shocks, len(res.Shocks))
+	}
+}
+
 // A dynamic run yields an extra Shock-marked snapshot per injection,
 // carrying the net token change.
 func TestStreamYieldsShockSnapshots(t *testing.T) {
 	spec := streamTestSpec()
 	spec.Events = workload.Burst{Round: 10, Node: 3, Amount: 512}
 	shocks := 0
-	for r, s := range Stream(context.Background(), spec) {
-		if s.Shock {
+	for s := range Stream(context.Background(), spec) {
+		if s.Shock != nil {
 			shocks++
-			if r != 10 || s.Injected != 512 {
-				t.Fatalf("shock snapshot at round %d: %+v", r, s)
+			if s.Round != 10 || *s.Shock != 512 {
+				t.Fatalf("shock snapshot at round %d: %+v", s.Round, s)
 			}
 		}
 	}
@@ -118,9 +150,9 @@ func TestStreamCancellationStopsWithinOneRound(t *testing.T) {
 
 			var res RunResult
 			last := -1
-			for r := range StreamInto(ctx, spec, &res) {
-				last = r
-				if r == 3 {
+			for s := range StreamInto(ctx, spec, &res) {
+				last = s.Round
+				if s.Round == 3 {
 					cancel()
 				}
 			}
@@ -160,9 +192,9 @@ func TestStreamBreakFinalizes(t *testing.T) {
 	for _, tc := range streamTestSpecs() {
 		t.Run(tc.name, func(t *testing.T) {
 			var res RunResult
-			var at Snapshot
-			for r, s := range StreamInto(context.Background(), tc.spec, &res) {
-				if r == 5 {
+			var at trace.Sample
+			for s := range StreamInto(context.Background(), tc.spec, &res) {
+				if s.Round == 5 {
 					at = s
 					break
 				}
@@ -204,20 +236,20 @@ func TestStreamBreakOnShockFinalizes(t *testing.T) {
 	spec.Events = workload.Burst{Round: 3, Node: 0, Amount: 4096}
 	spec.SampleEvery = 5
 	var res RunResult
-	var at Snapshot
-	for _, s := range StreamInto(context.Background(), spec, &res) {
-		if s.Shock {
+	var at trace.Sample
+	for s := range StreamInto(context.Background(), spec, &res) {
+		if s.Shock != nil {
 			at = s
 			break
 		}
 	}
-	if !at.Shock {
+	if at.Shock == nil {
 		t.Fatal("no shock snapshot seen")
 	}
 	if res.Rounds != 3 || res.FinalDiscrepancy != at.Discrepancy {
 		t.Fatalf("break-on-shock bookkeeping: %+v (snapshot %+v)", res, at)
 	}
-	if len(res.Series) != 1 || !res.Series[0].Shock || res.Series[0].Discrepancy != at.Discrepancy {
+	if len(res.Series) != 1 || res.Series[0].Shock == nil || res.Series[0].Discrepancy != at.Discrepancy {
 		t.Fatalf("series after break-on-shock: %+v", res.Series)
 	}
 }
@@ -273,8 +305,8 @@ func TestStreamBreakReleasesEngine(t *testing.T) {
 	spec := streamTestSpec()
 	spec.Workers = 4
 	for i := 0; i < 5; i++ {
-		for r := range Stream(context.Background(), spec) {
-			if r == 2 {
+		for s := range Stream(context.Background(), spec) {
+			if s.Round == 2 {
 				break
 			}
 		}

@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,5 +286,56 @@ func TestGapBitIdenticalAcrossWorkersRunVsSweep(t *testing.T) {
 		if math.Float64bits(run.Gap) != math.Float64bits(want) || math.Float64bits(swept.Gap) != math.Float64bits(want) {
 			t.Fatalf("workers=%d: Run µ = %.17g, Sweep µ = %.17g, want %.17g", w, run.Gap, swept.Gap, want)
 		}
+	}
+}
+
+// signalingSchedule closes started the first time it is consulted — a hook to
+// cancel a sweep only once a spec is provably in flight.
+type signalingSchedule struct {
+	once    sync.Once
+	started chan struct{}
+}
+
+func (s *signalingSchedule) DeltaInto(round int, loads, dst []int64) bool {
+	s.once.Do(func() { close(s.started) })
+	return false
+}
+
+// TestSweepContextCancelInFlight: cancellation stops the spec already
+// executing within one round — not just the unstarted ones — keeping its
+// completed-round bookkeeping alongside the cancellation error.
+func TestSweepContextCancelInFlight(t *testing.T) {
+	b := graph.Lazy(graph.Cycle(64))
+	sched := &signalingSchedule{started: make(chan struct{})}
+	specs := []RunSpec{{
+		Balancing: b,
+		Algorithm: balancer.NewRotorRouter(),
+		Initial:   workload.PointMass(64, 0, 640),
+		MaxRounds: 50_000_000, // would run for ages without the cancel
+		Events:    sched,
+	}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-sched.started
+		cancel()
+	}()
+
+	done := make(chan []RunResult, 1)
+	go func() { done <- SweepContext(ctx, specs, SweepOptions{}) }()
+	select {
+	case results := <-done:
+		res := results[0]
+		// One sweep cancellation, one wording — whether the spec was in
+		// flight or never started.
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "analysis: sweep canceled") {
+			t.Fatalf("in-flight spec err = %v", res.Err)
+		}
+		if res.Rounds >= specs[0].MaxRounds {
+			t.Fatalf("spec ran to its horizon despite cancellation: %d rounds", res.Rounds)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("canceled sweep did not return — in-flight cancellation is not round-granular")
 	}
 }

@@ -35,7 +35,7 @@ func synthResult(i int) analysis.RunResult {
 		MinDiscrepancy:     int64(i % 3),
 		TargetRound:        5 + i%5,
 		ReachedTarget:      true,
-		Shocks: []analysis.Shock{{
+		Shocks: []trace.Shock{{
 			Round:           8,
 			Added:           32,
 			Discrepancy:     32,
@@ -59,7 +59,7 @@ func putSynth(t *testing.T, arch *Store, n int) []string {
 
 // putSynthEntry archives one single-cell entry built from a graph spec and a
 // fabricated result, returning its digest.
-func putSynthEntry(t *testing.T, arch *Store, name, graphSpec string, res analysis.RunResult) string {
+func putSynthEntry(t testing.TB, arch *Store, name, graphSpec string, res analysis.RunResult) string {
 	t.Helper()
 	fam, err := scenario.ParseFamily(graphSpec, "send-floor", "point:64", "", "")
 	if err != nil {
@@ -382,8 +382,8 @@ func TestQueryPlain(t *testing.T) {
 		res := synthResult(0)
 		res.Shocks = nil
 		for _, rec := range recoveries {
-			res.Shocks = append(res.Shocks, analysis.Shock{Round: 8, PeakDiscrepancy: 40, RecoveryRounds: rec})
-			res.Faults = append(res.Faults, analysis.FaultEvent{Round: 8, PeakDiscrepancy: 40, RecoveryRounds: rec})
+			res.Shocks = append(res.Shocks, trace.Shock{Round: 8, PeakDiscrepancy: 40, RecoveryRounds: rec})
+			res.Faults = append(res.Faults, trace.FaultEvent{Round: 8, PeakDiscrepancy: 40, RecoveryRounds: rec})
 		}
 		return res
 	}
@@ -597,8 +597,8 @@ func TestColumnTable(t *testing.T) {
 		Gap: 0.5, BalancingTime: 6, Horizon: 7, Rounds: 8,
 		InitialDisc: 9, FinalDisc: 10, MinDisc: 11, TargetRound: 12,
 		StoppedEarly: true, ReachedTarget: true,
-		Shocks: []ShockResult{{RecoveryRounds: 16, PeakDiscrepancy: 18}},
-		Faults: []FaultResult{{RecoveryRounds: 19, PeakDiscrepancy: 21}},
+		Shocks: []trace.Shock{{RecoveryRounds: 16, PeakDiscrepancy: 18}},
+		Faults: []trace.FaultEvent{{RecoveryRounds: 19, PeakDiscrepancy: 21}},
 		Series: make([]trace.Sample, 15),
 	})
 	for _, col := range table {
@@ -655,28 +655,28 @@ func TestWireTagsPinned(t *testing.T) {
 	pin(CellResult{}, "Series", columns.Series)
 	pin(CellResult{}, "Err", columns.Error)
 
-	pin(ShockResult{}, "Round", columns.Round)
-	pin(ShockResult{}, "Added", columns.Added)
-	pin(ShockResult{}, "Removed", columns.Removed)
-	pin(ShockResult{}, "Discrepancy", columns.Discrepancy)
-	pin(ShockResult{}, "PeakDiscrepancy", columns.PeakDiscrepancy)
-	pin(ShockResult{}, "RecoveryRound", columns.RecoveryRound)
-	pin(ShockResult{}, "RecoveryRounds", columns.RecoveryRounds)
+	pin(trace.Shock{}, "Round", columns.Round)
+	pin(trace.Shock{}, "Added", columns.Added)
+	pin(trace.Shock{}, "Removed", columns.Removed)
+	pin(trace.Shock{}, "Discrepancy", columns.Discrepancy)
+	pin(trace.Shock{}, "PeakDiscrepancy", columns.PeakDiscrepancy)
+	pin(trace.Shock{}, "RecoveryRound", columns.RecoveryRound)
+	pin(trace.Shock{}, "RecoveryRounds", columns.RecoveryRounds)
 
-	pin(FaultResult{}, "Round", columns.Round)
-	pin(FaultResult{}, "FailedLinks", columns.FailedLinks)
-	pin(FaultResult{}, "RestoredLinks", columns.RestoredLinks)
-	pin(FaultResult{}, "FailedNodes", columns.FailedNodes)
-	pin(FaultResult{}, "RestoredNodes", columns.RestoredNodes)
-	pin(FaultResult{}, "Stranded", columns.Stranded)
-	pin(FaultResult{}, "Redistributed", columns.Redistributed)
-	pin(FaultResult{}, "Components", columns.Components)
-	pin(FaultResult{}, "Gap", columns.Gap)
-	pin(FaultResult{}, "Discrepancy", columns.Discrepancy)
-	pin(FaultResult{}, "PeakDiscrepancy", columns.PeakDiscrepancy)
-	pin(FaultResult{}, "RecoveryRound", columns.RecoveryRound)
-	pin(FaultResult{}, "RecoveryRounds", columns.RecoveryRounds)
-	pin(FaultResult{}, "UnreachableLoad", columns.UnreachableLoad)
+	pin(trace.FaultEvent{}, "Round", columns.Round)
+	pin(trace.FaultEvent{}, "FailedLinks", columns.FailedLinks)
+	pin(trace.FaultEvent{}, "RestoredLinks", columns.RestoredLinks)
+	pin(trace.FaultEvent{}, "FailedNodes", columns.FailedNodes)
+	pin(trace.FaultEvent{}, "RestoredNodes", columns.RestoredNodes)
+	pin(trace.FaultEvent{}, "Stranded", columns.Stranded)
+	pin(trace.FaultEvent{}, "Redistributed", columns.Redistributed)
+	pin(trace.FaultEvent{}, "Components", columns.Components)
+	pin(trace.FaultEvent{}, "Gap", columns.Gap)
+	pin(trace.FaultEvent{}, "Discrepancy", columns.Discrepancy)
+	pin(trace.FaultEvent{}, "PeakDiscrepancy", columns.PeakDiscrepancy)
+	pin(trace.FaultEvent{}, "RecoveryRound", columns.RecoveryRound)
+	pin(trace.FaultEvent{}, "RecoveryRounds", columns.RecoveryRounds)
+	pin(trace.FaultEvent{}, "UnreachableLoad", columns.UnreachableLoad)
 
 	pin(ResultDoc{}, "Version", columns.Version)
 	pin(ResultDoc{}, "Name", columns.Name)
@@ -691,7 +691,6 @@ func TestWireTagsPinned(t *testing.T) {
 	pin(trace.Sample{}, "Discrepancy", columns.Discrepancy)
 	pin(trace.Sample{}, "Max", columns.MaxLoad)
 	pin(trace.Sample{}, "Min", columns.MinLoad)
-	pin(trace.Sample{}, "Phi", columns.Phi)
 	pin(trace.Sample{}, "Shock", columns.Shock)
 	pin(trace.Sample{}, "Fault", columns.Fault)
 

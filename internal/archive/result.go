@@ -21,38 +21,10 @@ import (
 // newline, and must never change — it is what the digests' bytes are
 // compared against.
 
-// ShockResult is the wire form of one analysis.Shock.
-type ShockResult struct {
-	Round           int   `json:"round"`
-	Added           int64 `json:"added"`
-	Removed         int64 `json:"removed"`
-	Discrepancy     int64 `json:"discrepancy"`
-	PeakDiscrepancy int64 `json:"peak_discrepancy"`
-	RecoveryRound   int   `json:"recovery_round"`
-	RecoveryRounds  int   `json:"recovery_rounds"`
-}
-
-// FaultResult is the wire form of one analysis.FaultEvent.
-type FaultResult struct {
-	Round           int     `json:"round"`
-	FailedLinks     int     `json:"failed_links,omitempty"`
-	RestoredLinks   int     `json:"restored_links,omitempty"`
-	FailedNodes     int     `json:"failed_nodes,omitempty"`
-	RestoredNodes   int     `json:"restored_nodes,omitempty"`
-	Stranded        int64   `json:"stranded,omitempty"`
-	Redistributed   int64   `json:"redistributed,omitempty"`
-	Components      int     `json:"components"`
-	Gap             float64 `json:"gap"`
-	Discrepancy     int64   `json:"discrepancy"`
-	PeakDiscrepancy int64   `json:"peak_discrepancy"`
-	RecoveryRound   int     `json:"recovery_round"`
-	RecoveryRounds  int     `json:"recovery_rounds"`
-	UnreachableLoad int64   `json:"unreachable_load,omitempty"`
-}
-
 // CellResult is one cell's outcome: the canonical descriptor labels plus the
-// RunResult fields, with the sampled trajectory in the trace wire encoding
-// (the same records the stream endpoint sends and trace.ReadJSONL parses).
+// RunResult fields. Its shocks, faults and sampled trajectory are the
+// RunResult's own trace records (the same samples the stream endpoint sends
+// and trace.ReadJSONL parses).
 type CellResult struct {
 	Graph    string `json:"graph"`
 	Algo     string `json:"algo"`
@@ -78,10 +50,10 @@ type CellResult struct {
 	StoppedEarly  bool    `json:"stopped_early"`
 	ReachedTarget bool    `json:"reached_target"`
 
-	Shocks []ShockResult  `json:"shocks,omitempty"`
-	Faults []FaultResult  `json:"faults,omitempty"`
-	Series []trace.Sample `json:"series,omitempty"`
-	Err    string         `json:"error,omitempty"`
+	Shocks []trace.Shock      `json:"shocks,omitempty"`
+	Faults []trace.FaultEvent `json:"faults,omitempty"`
+	Series []trace.Sample     `json:"series,omitempty"`
+	Err    string             `json:"error,omitempty"`
 }
 
 // ResultDoc is the archived result document for one run.
@@ -145,43 +117,15 @@ func CellResultOf(spec analysis.RunSpec, res analysis.RunResult, cols scenario.C
 		TargetRound:   res.TargetRound,
 		StoppedEarly:  res.StoppedEarly,
 		ReachedTarget: res.ReachedTarget,
+
+		Shocks: res.Shocks,
+		Faults: res.Faults,
+		Series: res.Series,
 	}
 	if spec.Balancing != nil {
 		c.N = spec.Balancing.N()
 		c.Degree = spec.Balancing.Degree()
 		c.SelfLoops = spec.Balancing.SelfLoops()
-	}
-	for _, s := range res.Shocks {
-		c.Shocks = append(c.Shocks, ShockResult{
-			Round:           s.Round,
-			Added:           s.Added,
-			Removed:         s.Removed,
-			Discrepancy:     s.Discrepancy,
-			PeakDiscrepancy: s.PeakDiscrepancy,
-			RecoveryRound:   s.RecoveryRound,
-			RecoveryRounds:  s.RecoveryRounds,
-		})
-	}
-	for _, f := range res.Faults {
-		c.Faults = append(c.Faults, FaultResult{
-			Round:           f.Round,
-			FailedLinks:     f.FailedLinks,
-			RestoredLinks:   f.RestoredLinks,
-			FailedNodes:     f.FailedNodes,
-			RestoredNodes:   f.RestoredNodes,
-			Stranded:        f.Stranded,
-			Redistributed:   f.Redistributed,
-			Components:      f.Components,
-			Gap:             f.Gap,
-			Discrepancy:     f.Discrepancy,
-			PeakDiscrepancy: f.PeakDiscrepancy,
-			RecoveryRound:   f.RecoveryRound,
-			RecoveryRounds:  f.RecoveryRounds,
-			UnreachableLoad: f.UnreachableLoad,
-		})
-	}
-	for _, p := range res.Series {
-		c.Series = append(c.Series, p.Sample())
 	}
 	if res.Err != nil {
 		c.Err = res.Err.Error()

@@ -20,18 +20,17 @@ const (
 	Discrepancy = "discrepancy"
 	MaxLoad     = "max"
 	MinLoad     = "min"
-	Phi         = "phi"
 	Shock       = "shock"
 	Fault       = "fault"
 
-	// Shock-event fields (archive.ShockResult).
+	// Shock-event fields (trace.Shock).
 	Added           = "added"
 	Removed         = "removed"
 	PeakDiscrepancy = "peak_discrepancy"
 	RecoveryRound   = "recovery_round"
 	RecoveryRounds  = "recovery_rounds"
 
-	// Fault-event fields (archive.FaultResult and trace.FaultMark).
+	// Fault-event fields (trace.FaultEvent and trace.FaultMark).
 	FailedLinks     = "failed_links"
 	RestoredLinks   = "restored_links"
 	FailedNodes     = "failed_nodes"

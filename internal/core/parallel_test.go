@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestChunkBounds pins the determinism contract documented on chunkBounds:
+// TestChunkBounds pins the determinism contract documented on ChunkBounds:
 // the partition of [0, n) is a pure function of (n, chunks), covers the
 // range exactly, has no empty chunk, and chunk sizes differ by at most one.
 func TestChunkBounds(t *testing.T) {
@@ -22,7 +22,7 @@ func TestChunkBounds(t *testing.T) {
 		prevHi := 0
 		minSize, maxSize := tc.n+1, 0
 		for c := 0; c < chunks; c++ {
-			lo, hi := chunkBounds(tc.n, chunks, c)
+			lo, hi := ChunkBounds(tc.n, chunks, c)
 			if lo != prevHi {
 				t.Fatalf("n=%d chunks=%d: chunk %d starts at %d, want %d (gap or overlap)", tc.n, chunks, c, lo, prevHi)
 			}
@@ -45,8 +45,8 @@ func TestChunkBounds(t *testing.T) {
 		}
 		// Stability: recomputing yields identical boundaries.
 		for c := 0; c < chunks; c++ {
-			lo1, hi1 := chunkBounds(tc.n, chunks, c)
-			lo2, hi2 := chunkBounds(tc.n, chunks, c)
+			lo1, hi1 := ChunkBounds(tc.n, chunks, c)
+			lo2, hi2 := ChunkBounds(tc.n, chunks, c)
 			if lo1 != lo2 || hi1 != hi2 {
 				t.Fatalf("n=%d chunks=%d: chunk %d unstable", tc.n, chunks, c)
 			}
@@ -54,15 +54,15 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestRunRoundCoverageAndBarrier drives a persistent pool directly (bypassing
-// the engine's GOMAXPROCS clamp) and asserts that (a) each phase visits every
-// index exactly once per round, and (b) no worker enters the second phase
-// before every worker finished the first — the property that makes the
-// parallel apply phase safe.
+// TestRunRoundCoverageAndBarrier drives a kernel's pool directly (GOMAXPROCS
+// raised first, so NewKernel's clamp keeps every worker) and asserts that
+// (a) each phase visits every index exactly once per round, and (b) no
+// worker enters the second phase before every worker finished the first —
+// the property that makes the parallel apply phase safe.
 func TestRunRoundCoverageAndBarrier(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p := newParallelizer(4)
-	defer p.close()
+	p := NewKernel(4)
+	defer p.Close()
 
 	const n = 1037
 	var phase1Done atomic.Int64
@@ -84,7 +84,7 @@ func TestRunRoundCoverageAndBarrier(t *testing.T) {
 				visited2[i]++
 			}
 		}
-		p.runRound(n, first, second)
+		p.RunRound(n, first, second)
 		for i := 0; i < n; i++ {
 			if visited1[i] != int32(round+1) || visited2[i] != int32(round+1) {
 				t.Fatalf("round %d: index %d visited %d/%d times, want %d", round, i, visited1[i], visited2[i], round+1)
@@ -96,13 +96,13 @@ func TestRunRoundCoverageAndBarrier(t *testing.T) {
 // TestRunRoundSinglePhase checks the nil-second-phase dispatch.
 func TestRunRoundSinglePhase(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p := newParallelizer(3)
-	defer p.close()
+	p := NewKernel(3)
+	defer p.Close()
 
 	const n = 100
 	var sum atomic.Int64
 	var calls atomic.Int32
-	p.runRound(n, func(lo, hi int) {
+	p.RunRound(n, func(lo, hi int) {
 		calls.Add(1)
 		for i := lo; i < hi; i++ {
 			sum.Add(int64(i))
@@ -117,34 +117,35 @@ func TestRunRoundSinglePhase(t *testing.T) {
 }
 
 // TestPoolCloseIdempotent verifies close can be called repeatedly and that a
-// serial parallelizer (width ≤ 1) needs no pool at all.
+// serial kernel (width ≤ 1) needs no pool at all.
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := newParallelizer(4)
-	p.close()
-	p.close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := NewKernel(4)
+	p.Close()
+	p.Close()
 
-	s := newParallelizer(0)
+	s := NewKernel(0)
 	ran := false
-	s.runRound(5, func(lo, hi int) { ran = ran || (lo == 0 && hi == 5) }, nil)
+	s.RunRound(5, func(lo, hi int) { ran = ran || (lo == 0 && hi == 5) }, nil)
 	if !ran {
 		t.Fatal("serial path did not run [0,5) in one call")
 	}
-	s.close()
+	s.Close()
 }
 
 // TestPoolConcurrentRounds hammers the pool from sequential rounds with
 // varying n to shake out barrier-generation bugs under the race detector.
 func TestPoolConcurrentRounds(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p := newParallelizer(4)
-	defer p.close()
+	p := NewKernel(4)
+	defer p.Close()
 
 	var mu sync.Mutex
 	total := 0
 	for round := 1; round <= 200; round++ {
 		n := 1 + (round*37)%977
 		count := 0
-		p.runRound(n,
+		p.RunRound(n,
 			func(lo, hi int) {
 				mu.Lock()
 				count += hi - lo

@@ -17,6 +17,7 @@ import (
 	"detlb/internal/archive"
 	"detlb/internal/columns"
 	"detlb/internal/scenario"
+	"detlb/internal/trace"
 )
 
 // seedArchive writes synthetic single-cell entries straight into an archive
@@ -49,7 +50,7 @@ func seedArchive(t *testing.T, dir string, n int) []string {
 				Rounds: 10 + i%5, Horizon: 40, BalancingTime: 20, Gap: 0.25,
 				InitialDiscrepancy: 64, FinalDiscrepancy: int64(i % 3),
 				MinDiscrepancy: int64(i % 3), TargetRound: 5, ReachedTarget: true,
-				Shocks: []analysis.Shock{{
+				Shocks: []trace.Shock{{
 					Round: 8, Added: 32, Discrepancy: 32,
 					PeakDiscrepancy: int64(20 + i%10),
 					RecoveryRound:   10 + i%7, RecoveryRounds: 2 + i%7,

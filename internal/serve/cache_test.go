@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"detlb/internal/archive"
 )
@@ -51,6 +52,21 @@ func runSummary(t *testing.T, base, id string) RunSummary {
 		t.Fatalf("GET run %s: %d", id, code)
 	}
 	return sum
+}
+
+// waitRunning polls a run's summary until its status is running. The run
+// semaphore is not FIFO, so a test that occupies the only executor slot with
+// a blocker must see the blocker hold it before queueing the runs it means
+// to block.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runSummary(t, base, id).Status != StatusRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("run %s never started", id)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // TestCacheHitServesArchivedResult is the memoized tier's core contract: a
@@ -170,6 +186,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	// Occupy the single executor slot so the deduplicated burst stays queued
 	// while its POSTs land — the in-flight window the dedup exists for.
 	blocker := postScenario(t, ts.URL, longFamily(t, 0))
+	waitRunning(t, ts.URL, blocker.ID)
 
 	fam := testFamily(t)
 	body, err := fam.Canonical()
@@ -254,6 +271,7 @@ func TestFollowerCancelDoesNotDisturbLeader(t *testing.T) {
 		ArchiveDir: t.TempDir(), MaxConcurrentRuns: 1, MaxRunRounds: 1 << 30,
 	})
 	blocker := postScenario(t, ts.URL, longFamily(t, 0))
+	waitRunning(t, ts.URL, blocker.ID)
 	fam := testFamily(t)
 	leader := postScenario(t, ts.URL, fam)
 	follower := postScenario(t, ts.URL, fam)

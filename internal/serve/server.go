@@ -652,8 +652,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var res analysis.RunResult
-		for round, snap := range analysis.StreamInto(ctx, spec, &res) {
-			if err := enc.send(eventSnapshot, snapshotEvent{Cell: i, Sample: snap.Sample(round)}); err != nil {
+		for smp := range analysis.StreamInto(ctx, spec, &res) {
+			if err := enc.send(eventSnapshot, snapshotEvent{Cell: i, Sample: smp}); err != nil {
 				// Client gone: breaking the loop finalizes StreamInto's
 				// bookkeeping and closes this consumer's engine.
 				return

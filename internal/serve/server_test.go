@@ -211,8 +211,8 @@ func TestResultMatchesDirectSweep(t *testing.T) {
 			t.Fatalf("cell %d: %d served samples vs %d direct", i, len(got.Series), len(want.Series))
 		}
 		for j, p := range want.Series {
-			if !reflect.DeepEqual(got.Series[j], p.Sample()) {
-				t.Fatalf("cell %d sample %d: %+v vs %+v", i, j, got.Series[j], p.Sample())
+			if !reflect.DeepEqual(got.Series[j], p) {
+				t.Fatalf("cell %d sample %d: %+v vs %+v", i, j, got.Series[j], p)
 			}
 		}
 	}
@@ -275,13 +275,9 @@ func TestStreamConsumersBitIdentical(t *testing.T) {
 		if got[0].Round != 0 {
 			t.Fatalf("cell %d: stream must open at round 0, got %+v", i, got[0])
 		}
-		wantSamples := make([]trace.Sample, len(want.Series))
-		for j, p := range want.Series {
-			wantSamples[j] = p.Sample()
-		}
-		if !reflect.DeepEqual(got[1:], wantSamples) {
+		if !reflect.DeepEqual(got[1:], want.Series) {
 			t.Fatalf("cell %d: streamed samples differ from serial Run series:\n%+v\nvs\n%+v",
-				i, got[1:], wantSamples)
+				i, got[1:], want.Series)
 		}
 	}
 

@@ -1,5 +1,10 @@
-// Package trace records per-round simulation series and exports them as CSV
-// or JSON Lines, so experiment trajectories can be re-plotted outside Go.
+// Package trace defines the observation records of a run — the per-round
+// Sample, the Shock and FaultEvent recovery records — in their one wire
+// encoding, and exports sample series as CSV or JSON Lines, so experiment
+// trajectories can be re-plotted outside Go. The round loop
+// (analysis.streamRounds) builds these records directly; the stream
+// endpoint, the archived result documents and the trajectory files all
+// encode them as they are.
 package trace
 
 import (
@@ -11,31 +16,32 @@ import (
 	"strconv"
 
 	"detlb/internal/columns"
-	"detlb/internal/core"
 )
 
-// Sample is one recorded round.
+// Sample is one observation of a run: the discrepancy and load extrema after
+// a completed round, or immediately after a schedule injection (Shock) or a
+// topology event (Fault) between rounds. Discrepancy is max − min load on
+// diffusion runs and the spec Metric's value on model runs.
 type Sample struct {
+	// Round is the number of completed rounds (0 is the initial state). A
+	// shocked or faulted round yields more than one sample under the same
+	// Round: the event's, then the next round's.
 	Round       int   `json:"round"`
 	Discrepancy int64 `json:"discrepancy"`
 	Max         int64 `json:"max"`
 	Min         int64 `json:"min"`
-	// Phi is φ(PhiThreshold) when potential tracking is enabled, nil
-	// otherwise. It is a pointer, not an omitempty int64: omitempty would
-	// silently drop a legitimate φ = 0 from JSONL output and produce ragged
-	// records when PhiThreshold ≥ 0.
-	Phi *int64 `json:"phi,omitempty"`
 	// Shock, when non-nil, marks this sample as a dynamic-workload injection
 	// point: it was recorded immediately after a load delta was applied
 	// between rounds, and carries the net injected token count. The value can
 	// legitimately be 0 (a pure migration such as churn), so presence — the
-	// pointer — is the marker, mirroring Phi.
+	// pointer — is the marker.
 	Shock *int64 `json:"shock,omitempty"`
 	// Fault, when non-nil, marks this sample as a topology-event point: it
 	// was recorded immediately after link/node fault events were applied
 	// between rounds. Every count inside can legitimately be 0 (e.g. a pure
 	// restore has no failures), so presence — the pointer — is the marker,
-	// mirroring Shock.
+	// mirroring Shock. A round carrying both yields the fault sample first:
+	// the network changes before load arrives.
 	Fault *FaultMark `json:"fault,omitempty"`
 }
 
@@ -52,88 +58,88 @@ type FaultMark struct {
 	Stranded int64 `json:"stranded,omitempty"`
 }
 
-// Recorder is a core.Auditor that snapshots load statistics every Interval
-// rounds (Interval ≤ 1 records every round).
-type Recorder struct {
-	// Interval is the sampling period in rounds.
-	Interval int
-	// PhiThreshold, when ≥ 0, also records φ(PhiThreshold).
-	PhiThreshold int64
-
-	samples []Sample
+// Shock records one load injection of a dynamic run and the recovery that
+// followed it — the self-stabilization view of the paper's bound: after an
+// adversarial perturbation, how many rounds until the discrepancy target is
+// re-reached.
+type Shock struct {
+	// Round is the number of completed rounds when the delta was applied
+	// (0 = before the first round); round Round+1 is the first to see it.
+	Round int `json:"round"`
+	// Added and Removed are the injected token totals: Σ of the positive
+	// deltas and Σ of the negated negative deltas. A pure migration (churn)
+	// has Added == Removed.
+	Added   int64 `json:"added"`
+	Removed int64 `json:"removed"`
+	// Discrepancy is the discrepancy immediately after the injection.
+	Discrepancy int64 `json:"discrepancy"`
+	// PeakDiscrepancy is the maximum discrepancy observed from the injection
+	// until recovery (or until the run ended).
+	PeakDiscrepancy int64 `json:"peak_discrepancy"`
+	// RecoveryRound is the first round after the injection whose
+	// discrepancy was ≤ the run's target, or −1 (no target set, or the run
+	// ended first). RecoveryRounds is RecoveryRound − Round.
+	RecoveryRound  int `json:"recovery_round"`
+	RecoveryRounds int `json:"recovery_rounds"`
 }
 
-// NewRecorder samples every interval rounds without potential tracking.
-func NewRecorder(interval int) *Recorder {
-	return &Recorder{Interval: interval, PhiThreshold: -1}
+// FaultEvent records one effective topology delta of a faulted run and the
+// recovery that followed it — the robustness mirror of Shock. Recovery is
+// judged on the *effective* discrepancy (the maximum per-component max−min
+// over live components, core.Engine.EffectiveDiscrepancy): after a partition
+// each side can still balance internally even though the global discrepancy
+// is pinned by the imbalance across the cut, and that internal
+// re-convergence is what graceful degradation means.
+type FaultEvent struct {
+	// Round is the number of completed rounds when the delta was applied
+	// (0 = before the first round); round Round+1 is the first to run on the
+	// changed graph.
+	Round int `json:"round"`
+	// FailedLinks/RestoredLinks/FailedNodes/RestoredNodes count the event's
+	// effective changes (no-op events are not recorded at all).
+	FailedLinks   int `json:"failed_links,omitempty"`
+	RestoredLinks int `json:"restored_links,omitempty"`
+	FailedNodes   int `json:"failed_nodes,omitempty"`
+	RestoredNodes int `json:"restored_nodes,omitempty"`
+	// Stranded is the load removed with stranded node failures by this
+	// event; Redistributed the load moved from failing nodes to neighbors.
+	Stranded      int64 `json:"stranded,omitempty"`
+	Redistributed int64 `json:"redistributed,omitempty"`
+	// Components is the number of live components right after the event.
+	Components int `json:"components"`
+	// Gap is the faulted eigenvalue gap of the post-event graph
+	// (spectral.FaultedGap); ≈ 0 when the event disconnected it.
+	Gap float64 `json:"gap"`
+	// Discrepancy is the effective discrepancy immediately after the event;
+	// PeakDiscrepancy the maximum effective discrepancy observed from the
+	// event until recovery (or until the run ended).
+	Discrepancy     int64 `json:"discrepancy"`
+	PeakDiscrepancy int64 `json:"peak_discrepancy"`
+	// RecoveryRound is the first round after the event whose effective
+	// discrepancy was ≤ the run's target, or −1 (no target set, or the run
+	// ended first). RecoveryRounds is RecoveryRound − Round.
+	RecoveryRound  int `json:"recovery_round"`
+	RecoveryRounds int `json:"recovery_rounds"`
+	// UnreachableLoad is the load excess no amount of balancing can move off
+	// its component at event time: Σ over live components of
+	// max(0, total − size·⌈L/N⌉) with L, N the live totals. 0 while the live
+	// graph stays connected.
+	UnreachableLoad int64 `json:"unreachable_load,omitempty"`
 }
 
-// Samples returns the recorded series (shared; do not modify).
-func (r *Recorder) Samples() []Sample { return r.samples }
-
-// Requires implements core.Auditor.
-func (r *Recorder) Requires() core.Requirements { return core.Requirements{} }
-
-// Observe implements core.Auditor; it never fails a run.
-func (r *Recorder) Observe(e *core.Engine, _ []int64, _, _ [][]int64) error {
-	iv := r.Interval
-	if iv < 1 {
-		iv = 1
-	}
-	if e.Round()%iv != 0 {
-		return nil
-	}
-	loads := e.Loads()
-	var lo, hi int64
-	if len(loads) > 0 {
-		lo, hi = loads[0], loads[0]
-		for _, v := range loads[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	s := Sample{Round: e.Round(), Discrepancy: hi - lo, Max: hi, Min: lo}
-	if r.PhiThreshold >= 0 {
-		phi := core.Phi(loads, r.PhiThreshold, e.Balancing().DegreePlus())
-		s.Phi = &phi
-	}
-	r.samples = append(r.samples, s)
-	return nil
-}
-
-// ResetState implements core.StateResetter: a reused engine starts a fresh
-// series. The old backing array is released, not truncated, so a series
-// already handed out via Samples stays intact.
-func (r *Recorder) ResetState() { r.samples = nil }
-
-// WriteCSV emits the series with a header row.
-func (r *Recorder) WriteCSV(w io.Writer) error {
+// WriteCSV emits the series with a header row, one row per sample (shock
+// and fault samples included, without their markers).
+func WriteCSV(w io.Writer, samples []Sample) error {
 	cw := csv.NewWriter(w)
-	header := []string{columns.Round, columns.Discrepancy, columns.MaxLoad, columns.MinLoad}
-	withPhi := r.PhiThreshold >= 0
-	if withPhi {
-		header = append(header, fmt.Sprintf("phi_%d", r.PhiThreshold))
-	}
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write([]string{columns.Round, columns.Discrepancy, columns.MaxLoad, columns.MinLoad}); err != nil {
 		return fmt.Errorf("trace: write header: %w", err)
 	}
-	for _, s := range r.samples {
+	for _, s := range samples {
 		rec := []string{
 			strconv.Itoa(s.Round),
 			strconv.FormatInt(s.Discrepancy, 10),
 			strconv.FormatInt(s.Max, 10),
 			strconv.FormatInt(s.Min, 10),
-		}
-		if withPhi {
-			phi := ""
-			if s.Phi != nil {
-				phi = strconv.FormatInt(*s.Phi, 10)
-			}
-			rec = append(rec, phi)
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("trace: write row: %w", err)
@@ -146,14 +152,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// WriteJSONL emits one JSON object per sample.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	return WriteSamplesJSONL(w, r.samples)
-}
-
-// WriteSamplesJSONL emits one JSON object per sample; it is the free-function
-// form used by harness tools exporting series they assembled themselves
-// (e.g. sweep trajectories) rather than through a Recorder.
+// WriteSamplesJSONL emits one JSON object per sample.
 func WriteSamplesJSONL(w io.Writer, samples []Sample) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -168,9 +167,9 @@ func WriteSamplesJSONL(w io.Writer, samples []Sample) error {
 	return nil
 }
 
-// ReadJSONL parses a series previously produced by WriteJSONL or
-// WriteSamplesJSONL, preserving φ values and shock markers exactly — the
-// round-trip partner the recovery experiments re-plot from.
+// ReadJSONL parses a series previously produced by WriteSamplesJSONL,
+// preserving shock and fault markers exactly — the round-trip partner the
+// recovery experiments re-plot from.
 func ReadJSONL(rd io.Reader) ([]Sample, error) {
 	var out []Sample
 	dec := json.NewDecoder(rd)
@@ -183,36 +182,4 @@ func ReadJSONL(rd io.Reader) ([]Sample, error) {
 		}
 		out = append(out, s)
 	}
-}
-
-// ReadCSV parses a series previously produced by WriteCSV (ignoring any φ
-// column).
-func ReadCSV(rd io.Reader) ([]Sample, error) {
-	cr := csv.NewReader(rd)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	out := make([]Sample, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) < 4 {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want ≥ 4", i+2, len(row))
-		}
-		round, err := strconv.Atoi(row[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d round: %w", i+2, err)
-		}
-		vals := make([]int64, 3)
-		for k := 0; k < 3; k++ {
-			vals[k], err = strconv.ParseInt(row[k+1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d col %d: %w", i+2, k+1, err)
-			}
-		}
-		out = append(out, Sample{Round: round, Discrepancy: vals[0], Max: vals[1], Min: vals[2]})
-	}
-	return out, nil
 }

@@ -2,196 +2,87 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
-
-	"detlb/internal/balancer"
-	"detlb/internal/core"
-	"detlb/internal/graph"
 )
 
-func record(t *testing.T, interval, rounds int, phi int64) *Recorder {
-	t.Helper()
-	b := graph.Lazy(graph.Hypercube(4))
-	x1 := make([]int64, 16)
-	x1[0] = 1601
-	rec := NewRecorder(interval)
-	rec.PhiThreshold = phi
-	eng := core.MustEngine(b, balancer.NewRotorRouter(), x1, core.WithAuditor(rec))
-	for i := 0; i < rounds; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return rec
-}
-
-func TestRecorderSampling(t *testing.T) {
-	rec := record(t, 10, 100, -1)
-	if len(rec.Samples()) != 10 {
-		t.Fatalf("got %d samples", len(rec.Samples()))
-	}
-	first := rec.Samples()[0]
-	if first.Round != 10 || first.Max < first.Min {
-		t.Fatalf("bad sample %+v", first)
-	}
-	if first.Discrepancy != first.Max-first.Min {
-		t.Fatal("discrepancy must equal max-min")
+// series is a small hand-built trajectory: plain rounds plus one shock and
+// one fault point.
+func series() []Sample {
+	shock := int64(-3)
+	return []Sample{
+		{Round: 5, Discrepancy: 40, Max: 41, Min: 1},
+		{Round: 10, Discrepancy: 20, Max: 21, Min: 1},
+		{Round: 10, Discrepancy: 64, Max: 65, Min: 1, Shock: &shock},
+		{Round: 12, Discrepancy: 30, Max: 31, Min: 1, Fault: &FaultMark{FailedLinks: 1, Components: 2}},
+		{Round: 15, Discrepancy: 9, Max: 10, Min: 1},
 	}
 }
 
-func TestRecorderEveryRound(t *testing.T) {
-	rec := record(t, 0, 25, -1)
-	if len(rec.Samples()) != 25 {
-		t.Fatalf("interval ≤ 1 must record every round, got %d", len(rec.Samples()))
-	}
-}
-
+// TestCSVRoundTrip: every sample — marked ones included — is one CSV row
+// under the round,discrepancy,max,min header, and the rows parse back to the
+// samples' values.
 func TestCSVRoundTrip(t *testing.T) {
-	rec := record(t, 5, 50, -1)
+	want := series()
 	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rec.Samples()
-	if len(got) != len(want) {
-		t.Fatalf("round trip lost samples: %d vs %d", len(got), len(want))
+	if got := strings.Join(rows[0], ","); got != "round,discrepancy,max,min" {
+		t.Fatalf("header %q", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: %+v vs %+v", i, got[i], want[i])
+	if len(rows)-1 != len(want) {
+		t.Fatalf("round trip lost samples: %d vs %d", len(rows)-1, len(want))
+	}
+	for i, s := range want {
+		wantRow := []string{strconv.Itoa(s.Round), strconv.FormatInt(s.Discrepancy, 10),
+			strconv.FormatInt(s.Max, 10), strconv.FormatInt(s.Min, 10)}
+		if !reflect.DeepEqual(rows[i+1], wantRow) {
+			t.Fatalf("row %d: %v vs %v", i, rows[i+1], wantRow)
 		}
-	}
-}
-
-func TestCSVWithPhiColumn(t *testing.T) {
-	rec := record(t, 10, 50, 3)
-	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	head := strings.SplitN(buf.String(), "\n", 2)[0]
-	if !strings.Contains(head, "phi_3") {
-		t.Fatalf("header missing phi column: %s", head)
 	}
 }
 
 func TestJSONL(t *testing.T) {
-	rec := record(t, 10, 30, -1)
 	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
+	if err := WriteSamplesJSONL(&buf, series()[:2]); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("expected 3 JSONL lines, got %d", len(lines))
+	if len(lines) != 2 {
+		t.Fatalf("expected 2 JSONL lines, got %d", len(lines))
 	}
-	if !strings.Contains(lines[0], `"round":10`) {
+	if lines[0] != `{"round":5,"discrepancy":40,"max":41,"min":1}` {
 		t.Fatalf("line = %s", lines[0])
 	}
 }
 
-// TestJSONLEmitsPhiZero is the regression test for the omitempty bug: a
-// legitimate φ = 0 sample (all loads at or below the threshold) must still
-// carry its phi field in JSONL output — omitempty on a plain int64 silently
-// dropped it, producing ragged records whenever PhiThreshold ≥ 0.
-func TestJSONLEmitsPhiZero(t *testing.T) {
-	b := graph.Lazy(graph.Hypercube(4))
-	x1 := make([]int64, 16)
-	for i := range x1 {
-		x1[i] = 5 // already balanced: φ(c) = 0 for any c ≥ 5
-	}
-	rec := NewRecorder(1)
-	rec.PhiThreshold = 100
-	eng := core.MustEngine(b, balancer.NewRotorRouter(), x1, core.WithAuditor(rec))
-	for i := 0; i < 5; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range rec.Samples() {
-		if s.Phi == nil || *s.Phi != 0 {
-			t.Fatalf("expected φ = 0 recorded, got %+v", s)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("expected 5 lines, got %d", len(lines))
-	}
-	for _, line := range lines {
-		if !strings.Contains(line, `"phi":0`) {
-			t.Fatalf("φ = 0 dropped from JSONL record: %s", line)
-		}
-	}
-}
-
-// TestJSONLOmitsPhiWhenDisabled: without potential tracking the phi field
-// stays absent (nil pointer), keeping untracked series compact.
+// TestJSONLOmitsPhiWhenDisabled: no sample record carries a phi field — the
+// archived documents and trajectory files never had one, and their bytes
+// must not grow one.
 func TestJSONLOmitsPhiWhenDisabled(t *testing.T) {
-	rec := record(t, 10, 30, -1)
 	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
+	if err := WriteSamplesJSONL(&buf, series()); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "phi") {
-		t.Fatalf("phi field leaked into untracked series:\n%s", buf.String())
+		t.Fatalf("phi field leaked into the series:\n%s", buf.String())
 	}
 }
 
-// TestCSVPhiZeroValue: the φ column carries the explicit 0, not an empty
-// cell, for tracked runs.
-func TestCSVPhiZeroValue(t *testing.T) {
-	b := graph.Lazy(graph.Hypercube(4))
-	x1 := make([]int64, 16)
-	rec := NewRecorder(1)
-	rec.PhiThreshold = 7
-	eng := core.MustEngine(b, balancer.NewRotorRouter(), x1, core.WithAuditor(rec))
-	if err := eng.Step(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(rows) != 2 {
-		t.Fatalf("expected header + 1 row, got %d", len(rows))
-	}
-	if !strings.HasSuffix(rows[1], ",0") {
-		t.Fatalf("φ = 0 missing from CSV row: %s", rows[1])
-	}
-}
-
-// TestRecorderResetState: a reset recorder starts a fresh series without
-// clobbering one already handed out.
-func TestRecorderResetState(t *testing.T) {
-	rec := record(t, 1, 5, -1)
-	old := rec.Samples()
-	if len(old) != 5 {
-		t.Fatalf("expected 5 samples, got %d", len(old))
-	}
-	rec.ResetState()
-	if len(rec.Samples()) != 0 {
-		t.Fatal("reset recorder should start empty")
-	}
-	if len(old) != 5 || old[0].Round != 1 {
-		t.Fatal("previously returned series corrupted by reset")
-	}
-}
-
-// TestWriteSamplesJSONL covers the free-function form on hand-built samples.
+// TestWriteSamplesJSONL covers marker presence on hand-built samples: a
+// present pointer is emitted even at 0, an absent one is omitted.
 func TestWriteSamplesJSONL(t *testing.T) {
-	phi := int64(0)
+	zero := int64(0)
 	samples := []Sample{
-		{Round: 1, Discrepancy: 4, Max: 5, Min: 1, Phi: &phi},
+		{Round: 1, Discrepancy: 4, Max: 5, Min: 1, Shock: &zero},
 		{Round: 2, Discrepancy: 2, Max: 3, Min: 1},
 	}
 	var buf bytes.Buffer
@@ -202,20 +93,8 @@ func TestWriteSamplesJSONL(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("expected 2 lines, got %d", len(lines))
 	}
-	if !strings.Contains(lines[0], `"phi":0`) || strings.Contains(lines[1], "phi") {
-		t.Fatalf("phi handling wrong:\n%s", buf.String())
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("round,discrepancy,max,min\nnot,a,number,row\n")); err == nil {
-		t.Fatal("expected parse error")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err != nil {
-		t.Fatalf("empty input should be fine: %v", err)
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n")); err != nil {
-		t.Fatalf("header-only input should be fine: %v", err)
+	if !strings.Contains(lines[0], `"shock":0`) || strings.Contains(lines[1], "shock") {
+		t.Fatalf("shock marker handling wrong:\n%s", buf.String())
 	}
 }
 
@@ -224,11 +103,10 @@ func TestReadCSVErrors(t *testing.T) {
 func TestJSONLShockRoundTrip(t *testing.T) {
 	shock := int64(4096)
 	churn := int64(0)
-	phi := int64(7)
 	in := []Sample{
 		{Round: 10, Discrepancy: 3, Max: 4, Min: 1},
 		{Round: 20, Discrepancy: 4100, Max: 4101, Min: 1, Shock: &shock},
-		{Round: 25, Discrepancy: 40, Max: 41, Min: 1, Phi: &phi, Shock: &churn},
+		{Round: 25, Discrepancy: 40, Max: 41, Min: 1, Shock: &churn},
 		{Round: 30, Discrepancy: 5, Max: 5, Min: 0},
 	}
 	var buf bytes.Buffer
@@ -263,9 +141,6 @@ func TestJSONLShockRoundTrip(t *testing.T) {
 		}
 		if in[i].Shock != nil && *out[i].Shock != *in[i].Shock {
 			t.Fatalf("sample %d: shock value %d vs %d", i, *out[i].Shock, *in[i].Shock)
-		}
-		if (out[i].Phi == nil) != (in[i].Phi == nil) {
-			t.Fatalf("sample %d: phi presence lost", i)
 		}
 	}
 }
